@@ -8,12 +8,19 @@
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "circuit/circuit.h"
+#include "db/join_order_qubo.h"
+#include "db/query_graph.h"
 #include "sim/compiled_circuit.h"
 #include "sim/mps.h"
 #include "sim/simd.h"
 #include "sim/statevector_simulator.h"
+#include "sim/walsh.h"
+#include "variational/qaoa.h"
 
 namespace qdb {
 namespace {
@@ -330,6 +337,103 @@ void BM_PauliExpectation(benchmark::State& state) {
 }
 
 BENCHMARK(BM_PauliExpectation)->DenseRange(10, 20, 2);
+
+/// The 16-qubit p=1 QAOA instance of a seeded 4-relation clique join-order
+/// QUBO: 16 Z fields and 120 ZZ couplings, the dbopt_qaoa workload's shape.
+Qaoa JoinOrderQaoa16() {
+  Rng rng(1);
+  const JoinQueryGraph graph =
+      RandomQuery(QueryShape::kClique, 4, rng).ValueOrDie();
+  return Qaoa(JoinOrderQubo::Create(graph).ValueOrDie().qubo().ToIsing(), 1);
+}
+
+// ⟨ψ|H_C|ψ⟩ of the 16-qubit join-order Ising sum on its QAOA state. Arg 0
+// sums one single-string sweep per term (the reference the batched path
+// replaced); arg 1 is Expectation(PauliSum): one Walsh-batched sweep.
+void BM_IsingExpectation16(benchmark::State& state) {
+  const Qaoa qaoa = JoinOrderQaoa16();
+  const PauliSum h = qaoa.cost().ToPauliSum();
+  StateVectorSimulator sim;
+  const StateVector psi = sim.Run(qaoa.circuit(), {0.3, 0.4}).ValueOrDie();
+  const bool batched = state.range(0) != 0;
+  for (auto _ : state) {
+    double e = 0.0;
+    if (batched) {
+      e = Expectation(psi, h);
+    } else {
+      for (const PauliTerm& t : h.terms()) {
+        e += t.coefficient * Expectation(psi, t.pauli);
+      }
+    }
+    benchmark::DoNotOptimize(e);
+  }
+  state.counters["terms"] = static_cast<double>(h.size());
+}
+
+BENCHMARK(BM_IsingExpectation16)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// One Qaoa::Energy of the same instance: compiled replay (H layer, one fused
+// diagonal run, RX layer) plus the batched expectation.
+void BM_QaoaEnergy16(benchmark::State& state) {
+  const Qaoa qaoa = JoinOrderQaoa16();
+  const DVector params = {0.3, 0.4};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(qaoa.Energy(params).ValueOrDie());
+  }
+  const CompiledCircuit program = CompiledCircuit::Compile(qaoa.circuit());
+  state.counters["gates"] = static_cast<double>(qaoa.circuit().size());
+  state.counters["compiled_ops"] = static_cast<double>(program.num_ops());
+}
+
+BENCHMARK(BM_QaoaEnergy16)->Unit(benchmark::kMicrosecond);
+
+// The crossover that sets kMinDiagonalRunOps. At 16 qubits, `length` RZZ
+// gates on seeded qubit pairs are applied either as one diagonal sweep per
+// gate (arg 0, what replay issues for a run below the threshold) or as one
+// Walsh phase sweep over their expansion (arg 1, a kDiagonalRun). The
+// per-gate cost grows with the length; the fused cost barely does (one
+// table term per gate per block), so the threshold is the shortest length
+// at which arg 1 wins.
+void BM_DiagonalRunLength(benchmark::State& state) {
+  const int n = 16;
+  const int length = static_cast<int>(state.range(0));
+  const bool fused = state.range(1) != 0;
+  Rng rng(5);
+  std::vector<std::pair<int, int>> pairs;
+  std::vector<Matrix> gates;
+  std::vector<WalshTerm> phase;
+  for (int k = 0; k < length; ++k) {
+    const int a = static_cast<int>(rng.UniformInt(uint64_t{n}));
+    const int b = (a + 1 + static_cast<int>(rng.UniformInt(uint64_t{n - 1}))) % n;
+    const double theta = rng.Uniform(-1.0, 1.0);
+    pairs.emplace_back(a, b);
+    gates.push_back(GateMatrix(GateType::kRZZ, {theta}));
+    // RZZ(θ) = e^{−iθ/2 · Z_a Z_b}: one term on the pair's mask.
+    const uint64_t mask =
+        (uint64_t{1} << (n - 1 - a)) | (uint64_t{1} << (n - 1 - b));
+    phase.push_back(WalshTerm{mask, -theta / 2});
+  }
+  StateVector psi(n);
+  const Matrix h = GateMatrix(GateType::kH, {});
+  for (int q = 0; q < n; ++q) psi.Apply1Q(q, h);
+  for (auto _ : state) {
+    if (fused) {
+      psi.ApplyWalshPhase(phase);
+    } else {
+      for (int k = 0; k < length; ++k) {
+        const Matrix& u = gates[static_cast<size_t>(k)];
+        psi.ApplyDiagonal2Q(pairs[k].first, pairs[k].second, u(0, 0), u(1, 1),
+                            u(2, 2), u(3, 3));
+      }
+    }
+    benchmark::ClobberMemory();
+  }
+  state.counters["gates"] = length;
+}
+
+BENCHMARK(BM_DiagonalRunLength)
+    ->ArgsProduct({{4, 8, 10, 12, 14, 16, 18, 20, 22, 24, 28, 32, 48}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace qdb

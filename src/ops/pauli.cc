@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/strings.h"
+#include "sim/walsh.h"
 
 namespace qdb {
 
@@ -155,22 +156,20 @@ Result<DVector> PauliSum::DiagonalValues() const {
     return Status::FailedPrecondition(
         "DiagonalValues requires an I/Z-only PauliSum");
   }
-  const size_t dim = size_t{1} << num_qubits_;
-  DVector diag(dim, 0.0);
+  // Each I/Z string is the Walsh term c·(−1)^{|i ∧ zmask|}: scatter the
+  // coefficients onto their Z-masks, then one transform yields all 2^n
+  // diagonal entries. Qubit 0 = most significant index bit.
+  DVector diag(size_t{1} << num_qubits_, 0.0);
   for (const auto& t : terms_) {
-    // Precompute which qubits carry Z; the diagonal entry flips sign per
-    // set bit at a Z position. Qubit 0 = most significant index bit.
     uint64_t zmask = 0;
     for (int q = 0; q < num_qubits_; ++q) {
       if (t.pauli.op(q) == PauliOp::kZ) {
         zmask |= uint64_t{1} << (num_qubits_ - 1 - q);
       }
     }
-    for (size_t i = 0; i < dim; ++i) {
-      int parity = __builtin_popcountll(i & zmask) & 1;
-      diag[i] += parity ? -t.coefficient : t.coefficient;
-    }
+    diag[zmask] += t.coefficient;
   }
+  FastWalshHadamard(diag.data(), num_qubits_);
   return diag;
 }
 

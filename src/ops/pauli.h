@@ -94,7 +94,8 @@ class PauliSum {
   Matrix ToMatrix() const;
 
   /// Diagonal entries of the matrix realization for I/Z-only sums, computed
-  /// in O(terms · 2^n) without materializing the matrix.
+  /// by one fast Walsh–Hadamard transform in O(terms + n · 2^n) without
+  /// materializing the matrix.
   Result<DVector> DiagonalValues() const;
 
   /// Rendering like "1.5*ZZ + -0.5*XI".

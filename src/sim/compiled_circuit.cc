@@ -1,7 +1,9 @@
 #include "sim/compiled_circuit.h"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
+#include <unordered_map>
 #include <utility>
 
 #include "common/strings.h"
@@ -35,6 +37,7 @@ struct CompiledCounters {
   obs::Counter* fused_1q2q = obs::GetCounter("fusion.fused_1q2q");
   obs::Counter* fused_2q2q = obs::GetCounter("fusion.fused_2q2q");
   obs::Counter* ops_eliminated = obs::GetCounter("fusion.ops_eliminated");
+  obs::Counter* diagonal_runs = obs::GetCounter("fusion.diagonal_runs");
   obs::Counter* diagonal_1q = obs::GetCounter("sim.gates.diagonal_1q");
   obs::Counter* generic_1q = obs::GetCounter("sim.gates.generic_1q");
   obs::Counter* controlled_1q = obs::GetCounter("sim.gates.controlled_1q");
@@ -43,6 +46,7 @@ struct CompiledCounters {
   obs::Counter* swap = obs::GetCounter("sim.gates.swap");
   obs::Counter* multi_controlled = obs::GetCounter("sim.gates.multi_controlled");
   obs::Counter* generic_kq = obs::GetCounter("sim.gates.generic_kq");
+  obs::Counter* diagonal_run = obs::GetCounter("sim.gates.diagonal_run");
   obs::Counter* amplitude_touches = obs::GetCounter("sim.amplitude_touches");
 };
 
@@ -454,6 +458,114 @@ std::vector<CompiledOp> FusePass(std::vector<CompiledOp> in, int num_qubits,
   return compact;
 }
 
+// ---- Diagonal runs ----------------------------------------------------------
+
+/// True for a 1Q/2Q diagonal op, constant or parametric (a parametric op's
+/// kind is provisional until bound; its source gate decides).
+bool IsDiagonalOp(const CompiledOp& op) {
+  if (op.parametric()) return IsDiagonalGate(op.src);
+  return op.kind == CompiledOpKind::k1QDiag ||
+         op.kind == CompiledOpKind::k2QDiag;
+}
+
+/// Adds the Walsh expansion of a bound k1QDiag/k2QDiag op's phase function
+/// into `walsh`: local mask S (bit 1 = q0, bit 0 = q1 for 2Q) lands on
+/// walsh[slots[S]] as 2^-k Σ_x arg(c_x) · (−1)^{|x ∧ S|}. Any branch of arg
+/// works: the expansion reproduces each entry's phase exactly.
+void AddDiagonalPhase(const CompiledOp& op, const std::array<uint32_t, 4>& slots,
+                      std::vector<WalshTerm>& walsh) {
+  const int k = op.kind == CompiledOpKind::k1QDiag ? 1 : 2;
+  double phi[4];
+  for (int x = 0; x < (1 << k); ++x) phi[x] = std::arg(op.c[x]);
+  FastWalshHadamard(phi, k);
+  const double scale = k == 1 ? 0.5 : 0.25;
+  for (int s = 0; s < (1 << k); ++s) {
+    walsh[slots[s]].coefficient += scale * phi[s];
+  }
+}
+
+/// Folds ops [begin, end), all diagonal, into one kDiagonalRun. Constant
+/// members are expanded now; parametric ones keep their expressions and the
+/// term slots their coefficients add into at bind time.
+CompiledOp MakeDiagonalRun(std::vector<CompiledOp>& ops, size_t begin,
+                           size_t end, int num_qubits) {
+  CompiledOp run;
+  run.kind = CompiledOpKind::kDiagonalRun;
+  run.fused_gates = 0;
+  std::unordered_map<uint64_t, uint32_t> slot_of;
+  auto slot = [&](uint64_t mask) {
+    auto [it, inserted] =
+        slot_of.try_emplace(mask, static_cast<uint32_t>(run.walsh.size()));
+    if (inserted) run.walsh.push_back(WalshTerm{mask, 0.0});
+    return it->second;
+  };
+  const auto bit = [num_qubits](int q) {
+    return uint64_t{1} << (num_qubits - 1 - q);
+  };
+  for (size_t i = begin; i < end; ++i) {
+    CompiledOp& op = ops[i];
+    const bool two_qubit = op.parametric()
+                               ? GateArity(op.src) == 2
+                               : op.kind == CompiledOpKind::k2QDiag;
+    std::array<uint32_t, 4> slots{};
+    if (two_qubit) {
+      const uint64_t hi = bit(op.q0);
+      const uint64_t lo = bit(op.q1);
+      slots = {slot(0), slot(lo), slot(hi), slot(hi | lo)};
+    } else {
+      slots = {slot(0), slot(bit(op.q0)), 0, 0};
+    }
+    run.fused_gates += op.fused_gates;
+    if (op.parametric()) {
+      run.members.push_back(DiagonalRunMember{op.src, op.q0, op.q1,
+                                              std::move(op.exprs), slots});
+    } else {
+      AddDiagonalPhase(op, slots, run.walsh);
+    }
+  }
+  return run;
+}
+
+/// Collapses every maximal run of at least kMinDiagonalRunOps consecutive
+/// diagonal ops into one kDiagonalRun; shorter runs pass through.
+std::vector<CompiledOp> DiagonalRunPass(std::vector<CompiledOp> in,
+                                        int num_qubits, CompileStats& stats) {
+  std::vector<CompiledOp> out;
+  out.reserve(in.size());
+  size_t idx = 0;
+  while (idx < in.size()) {
+    size_t end = idx;
+    while (end < in.size() && IsDiagonalOp(in[end])) ++end;
+    if (end - idx >= kMinDiagonalRunOps) {
+      out.push_back(MakeDiagonalRun(in, idx, end, num_qubits));
+      ++stats.diagonal_runs;
+      stats.diagonal_run_gates += static_cast<size_t>(out.back().fused_gates);
+      idx = end;
+      continue;
+    }
+    if (end == idx) end = idx + 1;  // A non-diagonal op passes alone.
+    for (; idx < end; ++idx) out.push_back(std::move(in[idx]));
+  }
+  return out;
+}
+
+/// Binds a kDiagonalRun: its constant terms plus each parametric member's
+/// expansion at the bound angles, added in member order.
+CompiledOp BindDiagonalRun(const CompiledOp& op, const DVector& params) {
+  CompiledOp bound;
+  bound.kind = CompiledOpKind::kDiagonalRun;
+  bound.walsh = op.walsh;
+  DVector angles;
+  for (const DiagonalRunMember& m : op.members) {
+    angles.clear();
+    for (const ParamExpr& e : m.exprs) angles.push_back(e.Evaluate(params));
+    CompiledOp gate;
+    LowerBound(m.src, angles, &gate);
+    AddDiagonalPhase(gate, m.slots, bound.walsh);
+  }
+  return bound;
+}
+
 // ---- Cache-blocked execution ------------------------------------------------
 
 /// Amplitude count per block: 2^16 amplitudes are 512 KiB per plane, 1 MiB
@@ -469,6 +581,8 @@ bool IsBlockable(const CompiledOp& op, int num_qubits) {
     return (num_qubits - 1 - q) < kCacheBlockBits;
   };
   switch (op.kind) {
+    case CompiledOpKind::kDiagonalRun:
+      return true;  // Element-wise: every block maps onto itself.
     case CompiledOpKind::k1QDense:
     case CompiledOpKind::k1QDiag:
       return below(op.q0);
@@ -546,6 +660,9 @@ void ApplyOpToBlock(const CompiledOp& op, int num_qubits, double* re,
                          mid_keep, mr, mi);
       break;
     }
+    case CompiledOpKind::kDiagonalRun:
+      ApplyWalshPhaseRange(op.walsh, re, im, b0, b1);
+      break;
     default:
       QDB_CHECK(false) << "non-blockable op in a blocked run";
   }
@@ -617,6 +734,10 @@ void CountOp(const CompiledOp& op, long dim, CompiledCounters& counters) {
       counters.generic_kq->Increment();
       counters.amplitude_touches->Increment(dim);
       break;
+    case CompiledOpKind::kDiagonalRun:
+      counters.diagonal_run->Increment();
+      counters.amplitude_touches->Increment(dim);
+      break;
   }
 }
 
@@ -637,6 +758,8 @@ CompiledCircuit CompiledCircuit::Compile(const Circuit& circuit,
 
   if (options.fuse) {
     ops = FusePass(std::move(ops), circuit.num_qubits(), compiled.stats_);
+    ops = DiagonalRunPass(std::move(ops), circuit.num_qubits(),
+                          compiled.stats_);
   }
   compiled.stats_.emitted_ops = ops.size();
   compiled.ops_ = std::move(ops);
@@ -651,6 +774,8 @@ CompiledCircuit CompiledCircuit::Compile(const Circuit& circuit,
   counters.fused_diag->Increment(static_cast<long>(compiled.stats_.fused_diag));
   counters.fused_1q2q->Increment(static_cast<long>(compiled.stats_.fused_1q2q));
   counters.fused_2q2q->Increment(static_cast<long>(compiled.stats_.fused_2q2q));
+  counters.diagonal_runs->Increment(
+      static_cast<long>(compiled.stats_.diagonal_runs));
   counters.ops_eliminated->Increment(static_cast<long>(
       compiled.stats_.lowered_ops - compiled.stats_.emitted_ops));
   compiled.replays_by_qubits_ =
@@ -685,6 +810,11 @@ Status CompiledCircuit::Execute(StateVector& state,
   for (const CompiledOp& op : ops_) {
     if (!op.parametric()) {
       resolved.push_back(&op);
+      continue;
+    }
+    if (op.kind == CompiledOpKind::kDiagonalRun) {
+      bound_storage.push_back(BindDiagonalRun(op, params));
+      resolved.push_back(&bound_storage.back());
       continue;
     }
     // Thin evaluator: bind the angles and resolve the payload through the
@@ -754,6 +884,9 @@ Status CompiledCircuit::Execute(StateVector& state,
         break;
       case CompiledOpKind::kKQDense:
         state.ApplyKQ(op->qubits, op->m);
+        break;
+      case CompiledOpKind::kDiagonalRun:
+        state.ApplyWalshPhase(op->walsh);
         break;
     }
     CountOp(*op, dim, counters);

@@ -17,7 +17,12 @@
 ///            collapse runs of diagonal ops on shared operands into one
 ///            diagonal sweep, and fold neighboring 1Q/2Q constant gates that
 ///            share a qubit pair into a single dense 4x4 — each fused block
-///            then costs one state sweep instead of several;
+///            then costs one state sweep instead of several; then collapse
+///            every maximal run of at least kMinDiagonalRunOps consecutive
+///            diagonal ops, parametric RZ/RZZ/P/CP/CRZ included, into one
+///            kDiagonalRun op: a single e^{iΦ} sweep whose phase function Φ
+///            is carried as Walsh terms (sim/walsh.h) and re-expanded at
+///            bind time;
 ///   replay — Execute() walks the flat op vector binding parameters, with
 ///            no per-gate switch on GateType and no matrix reconstruction
 ///            for constant gates.
@@ -25,11 +30,15 @@
 /// Determinism: lowering and fusion are sequential compile-time passes whose
 /// output depends only on the circuit, so the PR 2 guarantee holds — a
 /// compiled program produces bit-identical amplitudes at every QDB_THREADS
-/// setting. With fusion disabled, compiled execution issues exactly the
-/// kernel calls the interpreter would, with the same matrices in the same
-/// order, and is therefore bit-identical to interpreted execution; with
-/// fusion enabled the composed matrices differ from the sequential product
-/// only by floating-point round-off (~1e-15 per fused pair).
+/// setting and SIMD level. A kDiagonalRun adds its terms in a fixed order
+/// and evaluates Φ per fixed 2^kWalshBlockBits-index block with scalar code
+/// and scalar libm cos/sin, so it keeps that guarantee blocked or not. With
+/// fusion disabled, compiled execution issues exactly the kernel calls the
+/// interpreter would, with the same matrices in the same order, and is
+/// therefore bit-identical to interpreted execution; with fusion enabled
+/// the composed matrices differ from the sequential product only by
+/// floating-point round-off (~1e-15 per fused pair, and ~|Φ|·1e-16 for a
+/// diagonal run).
 
 #ifndef QDB_SIM_COMPILED_CIRCUIT_H_
 #define QDB_SIM_COMPILED_CIRCUIT_H_
@@ -46,12 +55,22 @@
 #include "common/result.h"
 #include "linalg/matrix.h"
 #include "sim/state_vector.h"
+#include "sim/walsh.h"
 
 namespace qdb {
 
 namespace obs {
 class Counter;  // obs/metrics.h
 }  // namespace obs
+
+/// Shortest run of consecutive diagonal ops that fusion collapses into one
+/// kDiagonalRun. A run's sweep costs about one cos/sin per amplitude plus a
+/// per-block transform, whatever its length; below the threshold the
+/// per-gate diagonal sweeps are cheaper. BM_DiagonalRunLength in
+/// bench/bench_simulator.cc measures the crossover at 16 qubits: ~10–12
+/// gates on four lanes (BENCH_simulator.json), 14–16 on one (E1 in
+/// EXPERIMENTS.md). At 16 a fused run wins at both widths.
+inline constexpr size_t kMinDiagonalRunOps = 16;
 
 struct CompileOptions {
   /// Run the fusion passes. Disable to get a program that replays the
@@ -72,6 +91,18 @@ enum class CompiledOpKind : uint8_t {
   kMCX,           ///< Multi-controlled X: controls in `qubits`, target q0.
   kMCZ,           ///< Multi-controlled Z over `qubits` ∪ {q0}.
   kKQDense,       ///< Generic 2^k dense over `qubits`.
+  kDiagonalRun,   ///< e^{iΦ} with Φ = Σ `walsh` (+ bound `members`).
+};
+
+/// \brief A parametric diagonal gate folded into a kDiagonalRun. Replay binds
+/// its angles, expands its phase function over its 2^arity local masks and
+/// adds coefficient S into `walsh[slots[S]]` of the run.
+struct DiagonalRunMember {
+  GateType src = GateType::kI;
+  int q0 = 0;
+  int q1 = 0;
+  std::vector<ParamExpr> exprs;
+  std::array<uint32_t, 4> slots{};
 };
 
 /// \brief One lowered op: kernel kind, operands, and either a baked constant
@@ -87,9 +118,13 @@ struct CompiledOp {
   Matrix m;                  ///< 4x4 (k2QDense) or 2^k (kKQDense) payload.
   std::vector<int> qubits;   ///< MCX controls / MCZ operands / kQ operands.
   std::vector<ParamExpr> exprs;  ///< Non-empty for parametric ops.
+  /// kDiagonalRun: the run's phase Φ as Walsh terms, one per distinct mask;
+  /// the constant gates' coefficients are summed in at compile time.
+  std::vector<WalshTerm> walsh;
+  std::vector<DiagonalRunMember> members;  ///< kDiagonalRun: parametric gates.
   int fused_gates = 1;       ///< Source gates folded into this op.
 
-  bool parametric() const { return !exprs.empty(); }
+  bool parametric() const { return !exprs.empty() || !members.empty(); }
 };
 
 /// \brief Statistics from one compilation, exported as compile.*/fusion.*
@@ -102,6 +137,8 @@ struct CompileStats {
   size_t fused_diag = 0;     ///< Diagonal folds (1Q→2Q diag, 2Q-pair diag).
   size_t fused_1q2q = 0;     ///< 1Q gates folded into a dense 4x4.
   size_t fused_2q2q = 0;     ///< 2Q pairs on one qubit pair merged.
+  size_t diagonal_runs = 0;  ///< kDiagonalRun ops emitted.
+  size_t diagonal_run_gates = 0;  ///< Source gates folded into them.
 };
 
 /// \brief A circuit lowered to a flat, typed kernel program. Immutable after

@@ -288,6 +288,14 @@ void StateVector::ApplySwap(int a, int b) {
   }
 }
 
+void StateVector::ApplyWalshPhase(const std::vector<WalshTerm>& phase) {
+  // Pool chunks are whole Walsh blocks, and each block's phases depend only
+  // on its own indices, so the split never changes results.
+  ForKernelRange(dim(), dim(), [&](uint64_t b, uint64_t e) {
+    ApplyWalshPhaseRange(phase, re_.data(), im_.data(), b, e);
+  });
+}
+
 void StateVector::ApplyKQ(const std::vector<int>& qubits, const Matrix& u) {
   const int k = static_cast<int>(qubits.size());
   QDB_CHECK_GT(k, 0);

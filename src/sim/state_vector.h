@@ -25,6 +25,7 @@
 #include "common/rng.h"
 #include "linalg/matrix.h"
 #include "linalg/types.h"
+#include "sim/walsh.h"
 
 namespace qdb {
 
@@ -114,6 +115,10 @@ class StateVector {
 
   /// Swaps qubits a and b.
   void ApplySwap(int a, int b);
+
+  /// Multiplies amplitude i by e^{iΦ(i)} with Φ given by its Walsh terms
+  /// (sim/walsh.h): any product of diagonal gates in one sweep.
+  void ApplyWalshPhase(const std::vector<WalshTerm>& phase);
 
   /// Applies a k-qubit unitary matrix (2^k x 2^k; qubits[0] = high bit).
   /// Intended for k ≤ 3 gates; cost grows as 4^k per amplitude group.

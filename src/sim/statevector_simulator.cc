@@ -4,12 +4,14 @@
 #include <cmath>
 #include <cstdlib>
 #include <optional>
+#include <unordered_map>
 
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "fault/fault_injector.h"
 #include "obs/obs.h"
 #include "sim/compiled_circuit.h"
+#include "sim/walsh.h"
 
 namespace qdb {
 
@@ -286,29 +288,47 @@ Status StateVectorSimulator::ApplyGate(const Gate& gate, const DVector& angles,
   return Status::OK();
 }
 
-double Expectation(const StateVector& state, const PauliString& pauli) {
-  QDB_CHECK_EQ(pauli.num_qubits(), state.num_qubits());
-  const int n = state.num_qubits();
-  uint64_t xmask = 0;  // bits flipped by X or Y
-  uint64_t ymask = 0;
-  uint64_t zmask = 0;
+namespace {
+
+/// Basis-index masks of a Pauli string: X and Y flip their bits, Y and Z
+/// sign them.
+struct PauliMasks {
+  uint64_t x = 0;  ///< Bits flipped by X or Y.
+  uint64_t y = 0;
+  uint64_t z = 0;
+};
+
+PauliMasks MasksOf(const PauliString& pauli) {
+  const int n = pauli.num_qubits();
+  PauliMasks m;
   for (int q = 0; q < n; ++q) {
     const uint64_t bit = uint64_t{1} << (n - 1 - q);
     switch (pauli.op(q)) {
       case PauliOp::kI:
         break;
       case PauliOp::kX:
-        xmask |= bit;
+        m.x |= bit;
         break;
       case PauliOp::kY:
-        xmask |= bit;
-        ymask |= bit;
+        m.x |= bit;
+        m.y |= bit;
         break;
       case PauliOp::kZ:
-        zmask |= bit;
+        m.z |= bit;
         break;
     }
   }
+  return m;
+}
+
+}  // namespace
+
+double Expectation(const StateVector& state, const PauliString& pauli) {
+  QDB_CHECK_EQ(pauli.num_qubits(), state.num_qubits());
+  const PauliMasks masks = MasksOf(pauli);
+  const uint64_t xmask = masks.x;
+  const uint64_t ymask = masks.y;
+  const uint64_t zmask = masks.z;
   const double* re = state.reals();
   const double* im = state.imags();
   const uint64_t dim = state.dim();
@@ -353,11 +373,47 @@ double Expectation(const StateVector& state, const PauliString& pauli) {
 
 double Expectation(const StateVector& state, const PauliSum& observable) {
   QDB_CHECK_EQ(observable.num_qubits(), state.num_qubits());
-  double total = 0.0;
-  for (const auto& term : observable.terms()) {
-    total += term.coefficient * Expectation(state, term.pauli);
+  // P|i⟩ = i^{#Y} · (−1)^{|i ∧ (Y|Z)|} · |i ^ X⟩, so the strings sharing an
+  // X-mask sum to Σ_i conj(a[i ^ X]) · a[i] · W(i), where W has one Walsh
+  // term c·i^{#Y} per string on its Y|Z mask. Groups keep first-appearance
+  // order, so the combine order is a function of the observable alone.
+  struct Group {
+    uint64_t xmask = 0;
+    std::vector<WalshTerm> re;  ///< Strings with #Y ≡ 0 (mod 2).
+    std::vector<WalshTerm> im;  ///< Strings with #Y ≡ 1 (mod 2).
+  };
+  std::vector<Group> groups;
+  std::unordered_map<uint64_t, size_t> group_of;
+  for (const PauliTerm& term : observable.terms()) {
+    const PauliMasks m = MasksOf(term.pauli);
+    auto [it, inserted] = group_of.try_emplace(m.x, groups.size());
+    if (inserted) groups.push_back(Group{m.x, {}, {}});
+    Group& g = groups[it->second];
+    const uint64_t sign_mask = m.y | m.z;
+    const double c = term.coefficient;
+    switch (__builtin_popcountll(m.y) & 3) {
+      case 0: g.re.push_back({sign_mask, c}); break;
+      case 1: g.im.push_back({sign_mask, c}); break;
+      case 2: g.re.push_back({sign_mask, -c}); break;
+      case 3: g.im.push_back({sign_mask, -c}); break;
+    }
   }
-  return total;
+  const double* re = state.reals();
+  const double* im = state.imags();
+  auto chunk_sum = [&](uint64_t begin, uint64_t end) {
+    double part = 0.0;
+    for (const Group& g : groups) {
+      part += WalshCorrelationRange(g.re, g.im, g.xmask, re, im, begin, end);
+    }
+    return part;
+  };
+  // One sweep and one fork-join for the whole observable; chunked
+  // accumulation above the threshold keeps the combine order fixed for
+  // every thread count.
+  const uint64_t dim = state.dim();
+  return dim >= kParallelAmplitudeThreshold
+             ? ParallelSum<double>(ThreadPool::Global(), 0, dim, chunk_sum)
+             : chunk_sum(0, dim);
 }
 
 double ExpectationZ(const StateVector& state, int qubit) {

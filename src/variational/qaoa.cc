@@ -3,7 +3,6 @@
 #include <cmath>
 #include <limits>
 
-#include "autodiff/expectation.h"
 #include "obs/trace.h"
 #include "sim/statevector_simulator.h"
 
@@ -12,8 +11,7 @@ namespace qdb {
 Qaoa::Qaoa(IsingModel cost, int layers)
     : cost_(std::move(cost)),
       layers_(layers),
-      cost_observable_(cost_.ToPauliSum()),
-      circuit_(Build()) {
+      energy_(Build(), cost_.ToPauliSum()) {
   QDB_CHECK_GE(layers, 1);
 }
 
@@ -41,14 +39,13 @@ Circuit Qaoa::Build() const {
 }
 
 Result<double> Qaoa::Energy(const DVector& params) const {
-  ExpectationFunction f(circuit_, cost_observable_);
-  return f.Evaluate(params);
+  return energy_.Evaluate(params);
 }
 
 Result<std::vector<int8_t>> Qaoa::SampleBest(const DVector& params, int shots,
                                              Rng& rng) const {
   StateVectorSimulator sim;
-  QDB_ASSIGN_OR_RETURN(StateVector state, sim.Run(circuit_, params));
+  QDB_ASSIGN_OR_RETURN(StateVector state, sim.Run(circuit(), params));
   auto counts = state.SampleCounts(rng, shots);
   double best_energy = std::numeric_limits<double>::infinity();
   std::vector<int8_t> best;
@@ -68,8 +65,10 @@ Result<std::vector<int8_t>> Qaoa::SampleBest(const DVector& params, int shots,
 
 Result<QaoaResult> Qaoa::Optimize(const QaoaOptions& options) const {
   QDB_TRACE_SCOPE("Qaoa::Optimize", "train");
-  ExpectationFunction f(circuit_, cost_observable_);
-  Objective objective = [&f](const DVector& p) { return f.Evaluate(p); };
+  const long evaluations_before = energy_.evaluation_count();
+  Objective objective = [this](const DVector& p) {
+    return energy_.Evaluate(p);
+  };
 
   Rng rng(options.seed);
   QaoaResult result;
@@ -96,7 +95,8 @@ Result<QaoaResult> Qaoa::Optimize(const QaoaOptions& options) const {
   QDB_ASSIGN_OR_RETURN(result.best_spins,
                        SampleBest(result.params, options.sample_shots, rng));
   result.best_energy = cost_.Energy(result.best_spins);
-  result.circuit_evaluations = f.evaluation_count();
+  result.circuit_evaluations =
+      energy_.evaluation_count() - evaluations_before;
   return result;
 }
 

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "autodiff/expectation.h"
 #include "circuit/circuit.h"
 #include "common/result.h"
 #include "common/rng.h"
@@ -50,7 +51,7 @@ class Qaoa {
   int layers() const { return layers_; }
 
   /// The parameterized QAOA circuit (2p symbolic parameters).
-  const Circuit& circuit() const { return circuit_; }
+  const Circuit& circuit() const { return energy_.circuit(); }
 
   /// ⟨ψ(γ,β)|H_C|ψ(γ,β)⟩, offset included.
   Result<double> Energy(const DVector& params) const;
@@ -68,8 +69,9 @@ class Qaoa {
 
   IsingModel cost_;
   int layers_;
-  PauliSum cost_observable_;
-  Circuit circuit_;
+  /// ⟨H_C⟩ over the QAOA circuit, built once: it owns the circuit and the
+  /// cost observable, and its evaluation count spans every Energy/Optimize.
+  ExpectationFunction energy_;
 };
 
 }  // namespace qdb

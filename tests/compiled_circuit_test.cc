@@ -13,9 +13,13 @@
 #include "circuit/circuit.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "db/join_order_qubo.h"
+#include "db/query_graph.h"
 #include "sim/compiled_circuit.h"
+#include "sim/simd.h"
 #include "sim/state_vector.h"
 #include "sim/statevector_simulator.h"
+#include "variational/qaoa.h"
 
 namespace qdb {
 namespace {
@@ -265,6 +269,128 @@ TEST(CompiledCircuitTest, FusionCollapsesKnownPatterns) {
   Circuit p(1);
   p.H(0).RX(0, ParamExpr::Variable(0)).H(0);
   EXPECT_EQ(CompiledCircuit::Compile(p).num_ops(), 3u);
+}
+
+/// The p=1 QAOA circuit of a seeded 4-relation clique join-order QUBO: 16
+/// qubits, an H layer, 16 RZ + 120 RZZ cost gates, an RX mixer layer.
+Circuit JoinOrderQaoaCircuit() {
+  Rng rng(1);
+  const JoinQueryGraph graph =
+      RandomQuery(QueryShape::kClique, 4, rng).ValueOrDie();
+  const Qaoa qaoa(JoinOrderQubo::Create(graph).ValueOrDie().qubo().ToIsing(),
+                  1);
+  return qaoa.circuit();
+}
+
+/// H layer, `length` parametric RZ/RZZ gates on seeded operands, RX layer.
+Circuit DiagonalRunCircuit(int n, int length, uint64_t seed) {
+  Rng rng(seed);
+  Circuit c(n);
+  for (int q = 0; q < n; ++q) c.H(q);
+  for (int k = 0; k < length; ++k) {
+    const int a = static_cast<int>(rng.UniformInt(uint64_t(n)));
+    const double scale = rng.Uniform(-2.0, 2.0);
+    if (k % 3 == 0) {
+      c.RZ(a, ParamExpr::Affine(0, scale, 0.1));
+    } else {
+      const int b =
+          (a + 1 + static_cast<int>(rng.UniformInt(uint64_t(n - 1)))) % n;
+      c.RZZ(a, b, ParamExpr::Affine(0, scale, 0.0));
+    }
+  }
+  for (int q = 0; q < n; ++q) c.RX(q, ParamExpr::Affine(1, 2.0, 0.0));
+  return c;
+}
+
+TEST(CompiledCircuitTest, JoinOrderQaoaCostLayerFusesIntoOneOp) {
+  const Circuit c = JoinOrderQaoaCircuit();
+  ASSERT_EQ(c.num_qubits(), 16);
+  size_t diagonal_gates = 0;
+  for (const Gate& g : c.gates()) diagonal_gates += IsDiagonalGate(g.type);
+  ASSERT_EQ(diagonal_gates, 136u);
+
+  const CompiledCircuit fused = CompiledCircuit::Compile(c);
+  EXPECT_EQ(fused.stats().diagonal_runs, 1u);
+  EXPECT_EQ(fused.stats().diagonal_run_gates, 136u);
+  EXPECT_EQ(fused.num_ops(), 16u + 1u + 16u);  // H layer, one run, RX layer.
+  size_t runs = 0;
+  for (const CompiledOp& op : fused.ops()) {
+    if (op.kind != CompiledOpKind::kDiagonalRun) continue;
+    ++runs;
+    EXPECT_EQ(op.fused_gates, 136);
+    EXPECT_EQ(op.members.size(), 136u);
+  }
+  EXPECT_EQ(runs, 1u);
+
+  // Unfused programs keep one op per gate.
+  const CompiledCircuit unfused =
+      CompiledCircuit::Compile(c, CompileOptions{.fuse = false});
+  EXPECT_EQ(unfused.stats().diagonal_runs, 0u);
+  EXPECT_EQ(unfused.num_ops(), c.size());
+}
+
+TEST(CompiledCircuitTest, DiagonalRunReplayMatchesInterpreter) {
+  const Circuit c = JoinOrderQaoaCircuit();
+  const CompiledCircuit fused = CompiledCircuit::Compile(c);
+  for (const DVector& params :
+       {DVector{0.3, 0.4}, DVector{-1.7, 2.9}, DVector{0.01, -0.5}}) {
+    StateVector state(c.num_qubits());
+    ASSERT_TRUE(fused.Execute(state, params).ok());
+    ExpectNear(RunInterpreted(c, params), state, 1e-12);
+  }
+  // 17 qubits: the run replays inside cache blocks.
+  const Circuit wide = DiagonalRunCircuit(17, 40, 3);
+  const CompiledCircuit wide_fused = CompiledCircuit::Compile(wide);
+  ASSERT_EQ(wide_fused.stats().diagonal_runs, 1u);
+  StateVector state(17);
+  ASSERT_TRUE(wide_fused.Execute(state, {0.7, -0.2}).ok());
+  ExpectNear(RunInterpreted(wide, {0.7, -0.2}), state, 1e-12);
+}
+
+TEST(CompiledCircuitTest, DiagonalRunBitIdenticalAcrossThreadsAndSimd) {
+  // 16 qubits replays the run over the whole state, 17 block by block; each
+  // must give the same bits at every pool width and SIMD level.
+  struct RestoreDispatch {
+    ~RestoreDispatch() { simd::ResetSimdLevel(); }
+  } restore;
+  for (const Circuit& c :
+       {JoinOrderQaoaCircuit(), DiagonalRunCircuit(17, 40, 3)}) {
+    const CompiledCircuit fused = CompiledCircuit::Compile(c);
+    const DVector params = {0.45, 1.3};
+    simd::SetActiveSimdLevel(simd::SimdLevel::kScalar);
+    ThreadPool::SetGlobalThreads(1);
+    StateVector baseline(c.num_qubits());
+    ASSERT_TRUE(fused.Execute(baseline, params).ok());
+
+    std::vector<std::pair<simd::SimdLevel, int>> configs = {
+        {simd::SimdLevel::kScalar, 4}};
+    if (simd::SetActiveSimdLevel(simd::SimdLevel::kAvx2)) {
+      configs.push_back({simd::SimdLevel::kAvx2, 1});
+      configs.push_back({simd::SimdLevel::kAvx2, 4});
+    }
+    for (const auto& [level, threads] : configs) {
+      ASSERT_TRUE(simd::SetActiveSimdLevel(level));
+      ScopedThreads scoped(threads);
+      StateVector other(c.num_qubits());
+      ASSERT_TRUE(fused.Execute(other, params).ok());
+      ExpectBitIdentical(baseline, other);
+    }
+  }
+}
+
+TEST(CompiledCircuitTest, DiagonalRunsShorterThanThresholdStayPerGate) {
+  const int below = static_cast<int>(kMinDiagonalRunOps) - 1;
+  const Circuit short_run = DiagonalRunCircuit(4, below, 11);
+  const CompiledCircuit kept = CompiledCircuit::Compile(short_run);
+  EXPECT_EQ(kept.stats().diagonal_runs, 0u);
+  EXPECT_EQ(kept.num_ops(), short_run.size());
+
+  const Circuit long_run = DiagonalRunCircuit(4, below + 1, 11);
+  const CompiledCircuit collapsed = CompiledCircuit::Compile(long_run);
+  EXPECT_EQ(collapsed.stats().diagonal_runs, 1u);
+  EXPECT_EQ(collapsed.num_ops(), long_run.size() - below);
+  ExpectNear(RunInterpreted(long_run, {0.8, 0.3}),
+             RunCompiled(long_run, CompileOptions{}, {0.8, 0.3}), 1e-12);
 }
 
 TEST(CompiledCircuitTest, CacheHitsAndStructuralKeys) {

@@ -13,6 +13,7 @@
 #include "autodiff/parameter_shift.h"
 #include "common/thread_pool.h"
 #include "kernel/quantum_kernel.h"
+#include "random_pauli_sum.h"
 #include "sim/state_vector.h"
 #include "sim/statevector_simulator.h"
 
@@ -84,6 +85,22 @@ TEST(SimParallelTest, ReductionsBitIdenticalSerialVsParallel) {
   ASSERT_EQ(probs_serial.size(), probs_parallel.size());
   for (size_t i = 0; i < probs_serial.size(); ++i) {
     ASSERT_EQ(probs_serial[i], probs_parallel[i]) << "probability " << i;
+  }
+}
+
+TEST(SimParallelTest, PauliSumExpectationBitIdenticalSerialVsParallel) {
+  // The batched Walsh sweep reduces per pool chunk in chunk order, so the
+  // generated observables give the same bits at every width.
+  const int n = 15;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(seed);
+    const StateVector s = RandomStateVector(n, rng);
+    const PauliSum h = RandomPauliSum(n, 60, rng);
+
+    ThreadPool::SetGlobalThreads(1);
+    const double serial = Expectation(s, h);
+    ScopedThreads threads(4);
+    EXPECT_EQ(serial, Expectation(s, h)) << "seed " << seed;
   }
 }
 

@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "linalg/random_unitary.h"
+#include "random_pauli_sum.h"
 #include "sim/compiled_circuit.h"
 #include "sim/simd.h"
 #include "sim/state_vector.h"
@@ -165,6 +166,29 @@ TEST_P(SimdEquivalenceTest, MeasurementCollapseBitIdenticalAcrossDispatch) {
         std::to_string(config.threads);
     ASSERT_EQ(outcome_base, outcome) << what;
     ExpectBitIdentical(baseline, other, what.c_str());
+  }
+}
+
+TEST_P(SimdEquivalenceTest, PauliSumExpectationBitIdenticalAcrossDispatch) {
+  DispatchGuard guard;
+  const int n = GetParam();
+  Rng rng(n);
+  const PauliSum h = RandomPauliSum(n, 60, rng);
+
+  ASSERT_TRUE(simd::SetActiveSimdLevel(simd::SimdLevel::kScalar));
+  ThreadPool::SetGlobalThreads(1);
+  StateVector baseline(n);
+  ApplyKernelSweep(baseline);
+  const double base = Expectation(baseline, h);
+
+  for (const Config& config : ComparisonConfigs()) {
+    ASSERT_TRUE(simd::SetActiveSimdLevel(config.level));
+    ThreadPool::SetGlobalThreads(config.threads);
+    StateVector other(n);
+    ApplyKernelSweep(other);
+    ASSERT_EQ(base, Expectation(other, h))
+        << "expectation " << simd::SimdLevelName(config.level) << "/t"
+        << config.threads;
   }
 }
 
