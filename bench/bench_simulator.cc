@@ -12,9 +12,11 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "circuit/circuit.h"
 #include "db/join_order_qubo.h"
 #include "db/query_graph.h"
+#include "encoding/encodings.h"
 #include "sim/compiled_circuit.h"
 #include "sim/mps.h"
 #include "sim/simd.h"
@@ -387,24 +389,53 @@ void BM_QaoaEnergy16(benchmark::State& state) {
 
 BENCHMARK(BM_QaoaEnergy16)->Unit(benchmark::kMicrosecond);
 
-// The crossover that sets kMinDiagonalRunOps. At 16 qubits, `length` RZZ
-// gates on seeded qubit pairs are applied either as one diagonal sweep per
-// gate (arg 0, what replay issues for a run below the threshold) or as one
-// Walsh phase sweep over their expansion (arg 1, a kDiagonalRun). The
-// per-gate cost grows with the length; the fused cost barely does (one
-// table term per gate per block), so the threshold is the shortest length
-// at which arg 1 wins.
+// Compiled replay of ZZFeatureMap(x, reps=2) on `features` qubits, the
+// encoding of served and trained ZZ models. After diagonal folding each rep
+// leaves one diagonal op per qubit pair, so the width decides the side of
+// kMinDiagonalRunOps a program lands on: up to 8 features the P/RZZ block
+// stays per-gate, from 9 on it is one kDiagonalRun (`diagonal_runs`).
+void BM_ZZFeatureMapReplay(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  DVector x(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) x[static_cast<size_t>(i)] = 0.3 + 0.2 * i;
+  const CompiledCircuit program = CompiledCircuit::Compile(ZZFeatureMap(x, 2));
+  for (auto _ : state) {
+    StateVector psi(n);
+    benchmark::DoNotOptimize(program.Execute(psi, {}).ok());
+  }
+  state.counters["compiled_ops"] = static_cast<double>(program.num_ops());
+  state.counters["diagonal_runs"] =
+      static_cast<double>(program.stats().diagonal_runs);
+}
+
+BENCHMARK(BM_ZZFeatureMapReplay)
+    ->DenseRange(6, 12)
+    ->Unit(benchmark::kMicrosecond);
+
+// The crossover that sets kMinDiagonalRunOps. On `qubits` qubits and a pool
+// of `lanes` lanes, `length` RZZ gates on seeded qubit pairs are applied
+// either as one diagonal sweep per gate (fused = 0, what replay issues for a
+// run below the threshold) or as one Walsh phase sweep over their expansion
+// (fused = 1, a kDiagonalRun). The per-gate cost grows with the length; the
+// fused cost barely does (one table term per gate per block, then one
+// cos/sin per amplitude), so the threshold at a width is the shortest
+// length at which the fused sweep wins. Ten interleaved-order repetitions
+// per case; compare the medians.
 void BM_DiagonalRunLength(benchmark::State& state) {
-  const int n = 16;
-  const int length = static_cast<int>(state.range(0));
-  const bool fused = state.range(1) != 0;
+  const int n = static_cast<int>(state.range(0));
+  const int length = static_cast<int>(state.range(1));
+  const bool fused = state.range(2) != 0;
+  const int lanes = static_cast<int>(state.range(3));
+  const int default_lanes = ThreadPool::Global().size();
+  ThreadPool::SetGlobalThreads(lanes);
   Rng rng(5);
   std::vector<std::pair<int, int>> pairs;
   std::vector<Matrix> gates;
   std::vector<WalshTerm> phase;
   for (int k = 0; k < length; ++k) {
-    const int a = static_cast<int>(rng.UniformInt(uint64_t{n}));
-    const int b = (a + 1 + static_cast<int>(rng.UniformInt(uint64_t{n - 1}))) % n;
+    const uint64_t width = static_cast<uint64_t>(n);
+    const int a = static_cast<int>(rng.UniformInt(width));
+    const int b = (a + 1 + static_cast<int>(rng.UniformInt(width - 1))) % n;
     const double theta = rng.Uniform(-1.0, 1.0);
     pairs.emplace_back(a, b);
     gates.push_back(GateMatrix(GateType::kRZZ, {theta}));
@@ -428,11 +459,21 @@ void BM_DiagonalRunLength(benchmark::State& state) {
     }
     benchmark::ClobberMemory();
   }
+  ThreadPool::SetGlobalThreads(default_lanes);
+  state.counters["qubits"] = n;
   state.counters["gates"] = length;
+  state.counters["lanes"] = lanes;
 }
 
 BENCHMARK(BM_DiagonalRunLength)
-    ->ArgsProduct({{4, 8, 10, 12, 14, 16, 18, 20, 22, 24, 28, 32, 48}, {0, 1}})
+    ->ArgNames({"qubits", "gates", "fused", "lanes"})
+    ->ArgsProduct({{4, 8, 12, 14, 16, 20},
+                   {8, 16, 24, 32, 48, 64, 128},
+                   {0, 1},
+                   {1, 4}})
+    ->MinTime(0.05)
+    ->Repetitions(10)
+    ->ReportAggregatesOnly(true)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -5,7 +5,9 @@
 namespace qdb {
 
 ExpectationFunction::ExpectationFunction(Circuit circuit, PauliSum observable)
-    : circuit_(std::move(circuit)), observable_(std::move(observable)) {
+    : circuit_(std::move(circuit)),
+      observable_(std::move(observable)),
+      prepared_(observable_) {
   QDB_CHECK_EQ(circuit_.num_qubits(), observable_.num_qubits());
 }
 
@@ -20,7 +22,7 @@ Result<double> ExpectationFunction::RunAndMeasure(const Circuit& circuit,
       initial_state_ ? *initial_state_ : StateVector(circuit.num_qubits());
   QDB_RETURN_IF_ERROR(simulator_.RunInPlace(circuit, state, params));
   evaluations_.fetch_add(1, std::memory_order_relaxed);
-  return Expectation(state, observable_);
+  return prepared_.Expectation(state);
 }
 
 Result<double> ExpectationFunction::Evaluate(const DVector& params) const {
@@ -69,7 +71,7 @@ Result<DVector> ExpectationFunction::EvaluateShiftBatch(
   QDB_RETURN_IF_ERROR(simulator_.RunBatchReduce(
       circuits, {params}, initial,
       [this, &values](size_t i, StateVector&& state) {
-        values[i] = Expectation(state, observable_);
+        values[i] = prepared_.Expectation(state);
         return Status::OK();
       }));
   evaluations_.fetch_add(static_cast<long>(shifts.size()),
@@ -84,7 +86,7 @@ Result<DVector> ExpectationFunction::EvaluateBatch(
   QDB_RETURN_IF_ERROR(simulator_.RunBatchReduce(
       {circuit_}, params_list, initial,
       [this, &values](size_t i, StateVector&& state) {
-        values[i] = Expectation(state, observable_);
+        values[i] = prepared_.Expectation(state);
         return Status::OK();
       }));
   evaluations_.fetch_add(static_cast<long>(params_list.size()),

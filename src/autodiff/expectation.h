@@ -34,12 +34,14 @@ class ExpectationFunction {
   ExpectationFunction(ExpectationFunction&& other) noexcept
       : circuit_(std::move(other.circuit_)),
         observable_(std::move(other.observable_)),
+        prepared_(std::move(other.prepared_)),
         initial_state_(std::move(other.initial_state_)),
         simulator_(std::move(other.simulator_)),
         evaluations_(other.evaluations_.load(std::memory_order_relaxed)) {}
   ExpectationFunction& operator=(ExpectationFunction&& other) noexcept {
     circuit_ = std::move(other.circuit_);
     observable_ = std::move(other.observable_);
+    prepared_ = std::move(other.prepared_);
     initial_state_ = std::move(other.initial_state_);
     simulator_ = std::move(other.simulator_);
     evaluations_.store(other.evaluations_.load(std::memory_order_relaxed),
@@ -107,6 +109,7 @@ class ExpectationFunction {
 
   Circuit circuit_;
   PauliSum observable_;
+  PreparedObservable prepared_;  ///< observable_, grouped once.
   std::optional<StateVector> initial_state_;
   StateVectorSimulator simulator_;
   mutable std::atomic<long> evaluations_{0};

@@ -67,10 +67,13 @@ class Counter;  // obs/metrics.h
 /// kDiagonalRun. A run's sweep costs about one cos/sin per amplitude plus a
 /// per-block transform, whatever its length; below the threshold the
 /// per-gate diagonal sweeps are cheaper. BM_DiagonalRunLength in
-/// bench/bench_simulator.cc measures the crossover at 16 qubits: ~10–12
-/// gates on four lanes (BENCH_simulator.json), 14–16 on one (E1 in
-/// EXPERIMENTS.md). At 16 a fused run wins at both widths.
-inline constexpr size_t kMinDiagonalRunOps = 16;
+/// bench/bench_simulator.cc measures the crossover at 4–20 qubits on one
+/// and four lanes: it sits near 24 gates at 8–12 qubits and between 24 and
+/// 32 at 14–20 qubits on one lane, and lower wherever per-gate sweeps fork
+/// across lanes (BENCH_simulator.json, E1 in EXPERIMENTS.md). At 32 the
+/// fused run wins at every measured width and lane count, so one constant
+/// serves every width.
+inline constexpr size_t kMinDiagonalRunOps = 32;
 
 struct CompileOptions {
   /// Run the fusion passes. Disable to get a program that replays the

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <optional>
-#include <unordered_map>
 
 #include "common/strings.h"
 #include "common/thread_pool.h"
@@ -371,24 +370,20 @@ double Expectation(const StateVector& state, const PauliString& pauli) {
   return acc.real();
 }
 
-double Expectation(const StateVector& state, const PauliSum& observable) {
-  QDB_CHECK_EQ(observable.num_qubits(), state.num_qubits());
+PreparedObservable::PreparedObservable(const PauliSum& observable)
+    : num_qubits_(observable.num_qubits()) {
   // P|i⟩ = i^{#Y} · (−1)^{|i ∧ (Y|Z)|} · |i ^ X⟩, so the strings sharing an
   // X-mask sum to Σ_i conj(a[i ^ X]) · a[i] · W(i), where W has one Walsh
   // term c·i^{#Y} per string on its Y|Z mask. Groups keep first-appearance
   // order, so the combine order is a function of the observable alone.
-  struct Group {
-    uint64_t xmask = 0;
-    std::vector<WalshTerm> re;  ///< Strings with #Y ≡ 0 (mod 2).
-    std::vector<WalshTerm> im;  ///< Strings with #Y ≡ 1 (mod 2).
-  };
-  std::vector<Group> groups;
-  std::unordered_map<uint64_t, size_t> group_of;
+  // Observables have few distinct X-masks (one for an Ising sum, about one
+  // per qubit for a transverse field), so a linear search finds the group.
   for (const PauliTerm& term : observable.terms()) {
     const PauliMasks m = MasksOf(term.pauli);
-    auto [it, inserted] = group_of.try_emplace(m.x, groups.size());
-    if (inserted) groups.push_back(Group{m.x, {}, {}});
-    Group& g = groups[it->second];
+    auto it = std::find_if(groups_.begin(), groups_.end(),
+                           [&](const Group& g) { return g.xmask == m.x; });
+    if (it == groups_.end()) it = groups_.insert(it, Group{m.x, {}, {}});
+    Group& g = *it;
     const uint64_t sign_mask = m.y | m.z;
     const double c = term.coefficient;
     switch (__builtin_popcountll(m.y) & 3) {
@@ -398,11 +393,15 @@ double Expectation(const StateVector& state, const PauliSum& observable) {
       case 3: g.im.push_back({sign_mask, -c}); break;
     }
   }
+}
+
+double PreparedObservable::Expectation(const StateVector& state) const {
+  QDB_CHECK_EQ(num_qubits_, state.num_qubits());
   const double* re = state.reals();
   const double* im = state.imags();
   auto chunk_sum = [&](uint64_t begin, uint64_t end) {
     double part = 0.0;
-    for (const Group& g : groups) {
+    for (const Group& g : groups_) {
       part += WalshCorrelationRange(g.re, g.im, g.xmask, re, im, begin, end);
     }
     return part;
@@ -414,6 +413,10 @@ double Expectation(const StateVector& state, const PauliSum& observable) {
   return dim >= kParallelAmplitudeThreshold
              ? ParallelSum<double>(ThreadPool::Global(), 0, dim, chunk_sum)
              : chunk_sum(0, dim);
+}
+
+double Expectation(const StateVector& state, const PauliSum& observable) {
+  return PreparedObservable(observable).Expectation(state);
 }
 
 double ExpectationZ(const StateVector& state, int qubit) {

@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "ops/pauli.h"
 #include "sim/state_vector.h"
+#include "sim/walsh.h"
 
 namespace qdb {
 
@@ -107,7 +108,30 @@ class StateVectorSimulator {
 /// \brief ⟨ψ|P|ψ⟩ for a single Pauli string (real by Hermiticity).
 double Expectation(const StateVector& state, const PauliString& pauli);
 
-/// \brief ⟨ψ|H|ψ⟩ for a Pauli-sum observable.
+/// \brief A PauliSum grouped for batched expectations: the strings sharing
+/// an X-mask become one Walsh expansion (sim/walsh.h), so ⟨ψ|H|ψ⟩ costs one
+/// state sweep and one fork-join for the whole sum. Build it once for an
+/// observable that is measured repeatedly (ExpectationFunction does).
+class PreparedObservable {
+ public:
+  explicit PreparedObservable(const PauliSum& observable);
+
+  /// ⟨ψ|H|ψ⟩; bit-identical at every thread count and SIMD level.
+  double Expectation(const StateVector& state) const;
+
+ private:
+  struct Group {
+    uint64_t xmask = 0;
+    std::vector<WalshTerm> re;  ///< Strings with #Y ≡ 0 (mod 2).
+    std::vector<WalshTerm> im;  ///< Strings with #Y ≡ 1 (mod 2).
+  };
+
+  int num_qubits_ = 0;
+  std::vector<Group> groups_;
+};
+
+/// \brief ⟨ψ|H|ψ⟩ for a Pauli-sum observable (PreparedObservable for one
+/// state).
 double Expectation(const StateVector& state, const PauliSum& observable);
 
 /// \brief ⟨ψ|Z_q|ψ⟩ convenience (= 1 − 2·P[q = 1]).

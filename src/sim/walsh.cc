@@ -28,11 +28,22 @@ void EvaluateBlock(const std::vector<WalshTerm>& terms, uint64_t base,
                    int bits, double* table) {
   const uint64_t size = uint64_t{1} << bits;
   std::fill(table, table + size, 0.0);
+  // With fewer terms than table bits, summing each term over the table
+  // directly is cheaper than the transform (one Z string, say).
+  const bool direct = terms.size() < static_cast<size_t>(bits);
   for (const WalshTerm& t : terms) {
     const bool flip = __builtin_popcountll(base & t.mask) & 1;
-    table[t.mask & (size - 1)] += flip ? -t.coefficient : t.coefficient;
+    const double c = flip ? -t.coefficient : t.coefficient;
+    const uint64_t low = t.mask & (size - 1);
+    if (!direct) {
+      table[low] += c;
+      continue;
+    }
+    for (uint64_t l = 0; l < size; ++l) {
+      table[l] += (__builtin_popcountll(l & low) & 1) ? -c : c;
+    }
   }
-  FastWalshHadamard(table, bits);
+  if (!direct) FastWalshHadamard(table, bits);
 }
 
 }  // namespace
@@ -80,32 +91,20 @@ double WalshCorrelationRange(const std::vector<WalshTerm>& w_re,
   const int bits = TableBits(w_re, w_im);
   const uint64_t period = uint64_t{1} << bits;
   double wr[kBlock], wi[kBlock];
+  // An empty imaginary part is a zero table for every block.
+  if (w_im.empty()) std::fill(wi, wi + period, 0.0);
   double acc = 0.0;
   for (uint64_t base = begin; base < end; base += kBlock) {
     EvaluateBlock(w_re, base, bits, wr);
+    if (!w_im.empty()) EvaluateBlock(w_im, base, bits, wi);
     const uint64_t stop = std::min(end, base + kBlock);
-    if (!w_im.empty()) {
-      EvaluateBlock(w_im, base, bits, wi);
-      for (uint64_t i = base; i < stop; ++i) {
-        const uint64_t l = (i - base) & (period - 1);
-        const uint64_t j = i ^ xmask;
-        // t = conj(a_j) · a_i; accumulate Re(t · W).
-        const double tr = re[j] * re[i] + im[j] * im[i];
-        const double ti = re[j] * im[i] - im[j] * re[i];
-        acc += tr * wr[l] - ti * wi[l];
-      }
-    } else if (xmask != 0) {
-      for (uint64_t i = base; i < stop; ++i) {
-        const uint64_t l = (i - base) & (period - 1);
-        const uint64_t j = i ^ xmask;
-        acc += (re[j] * re[i] + im[j] * im[i]) * wr[l];
-      }
-    } else {
-      // Diagonal group: conj(a_i) · a_i = |a_i|².
-      for (uint64_t i = base; i < stop; ++i) {
-        const uint64_t l = (i - base) & (period - 1);
-        acc += (re[i] * re[i] + im[i] * im[i]) * wr[l];
-      }
+    for (uint64_t i = base; i < stop; ++i) {
+      const uint64_t l = (i - base) & (period - 1);
+      const uint64_t j = i ^ xmask;
+      // t = conj(a_j) · a_i; accumulate Re(t · W).
+      const double tr = re[j] * re[i] + im[j] * im[i];
+      const double ti = re[j] * im[i] - im[j] * re[i];
+      acc += tr * wr[l] - ti * wi[l];
     }
   }
   return acc;

@@ -16,7 +16,8 @@
 /// Sweeps over a state evaluate f one aligned block of 2^kWalshBlockBits
 /// indices at a time. Inside a block the high index bits are fixed, so they
 /// only flip the sign of each term: the block folds those signs into a table
-/// over its low bits and transforms that table. Block boundaries, fill order
+/// over its low bits and transforms that table (or, with fewer terms than
+/// table bits, sums the terms over the table directly). Block boundaries, fill order
 /// and butterfly order depend only on the terms and the indices, so every
 /// sweep is bit-identical at any thread count. The code is scalar, uses only
 /// scalar libm and is built without FP contraction, so it is also identical

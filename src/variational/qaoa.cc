@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "obs/trace.h"
 #include "sim/statevector_simulator.h"
@@ -11,7 +12,8 @@ namespace qdb {
 Qaoa::Qaoa(IsingModel cost, int layers)
     : cost_(std::move(cost)),
       layers_(layers),
-      energy_(Build(), cost_.ToPauliSum()) {
+      energy_(std::make_shared<const ExpectationFunction>(
+          Build(), cost_.ToPauliSum())) {
   QDB_CHECK_GE(layers, 1);
 }
 
@@ -39,7 +41,7 @@ Circuit Qaoa::Build() const {
 }
 
 Result<double> Qaoa::Energy(const DVector& params) const {
-  return energy_.Evaluate(params);
+  return energy_->Evaluate(params);
 }
 
 Result<std::vector<int8_t>> Qaoa::SampleBest(const DVector& params, int shots,
@@ -65,9 +67,13 @@ Result<std::vector<int8_t>> Qaoa::SampleBest(const DVector& params, int shots,
 
 Result<QaoaResult> Qaoa::Optimize(const QaoaOptions& options) const {
   QDB_TRACE_SCOPE("Qaoa::Optimize", "train");
-  const long evaluations_before = energy_.evaluation_count();
-  Objective objective = [this](const DVector& p) {
-    return energy_.Evaluate(p);
+  // Counted here rather than by the shared ExpectationFunction, so calls on
+  // other threads or copies do not leak into this result.
+  long evaluations = 0;
+  Objective objective = [this, &evaluations](const DVector& p) {
+    Result<double> e = energy_->Evaluate(p);
+    if (e.ok()) ++evaluations;
+    return e;
   };
 
   Rng rng(options.seed);
@@ -95,8 +101,7 @@ Result<QaoaResult> Qaoa::Optimize(const QaoaOptions& options) const {
   QDB_ASSIGN_OR_RETURN(result.best_spins,
                        SampleBest(result.params, options.sample_shots, rng));
   result.best_energy = cost_.Energy(result.best_spins);
-  result.circuit_evaluations =
-      energy_.evaluation_count() - evaluations_before;
+  result.circuit_evaluations = evaluations;
   return result;
 }
 

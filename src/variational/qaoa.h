@@ -7,6 +7,7 @@
 #define QDB_VARIATIONAL_QAOA_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "autodiff/expectation.h"
@@ -51,7 +52,7 @@ class Qaoa {
   int layers() const { return layers_; }
 
   /// The parameterized QAOA circuit (2p symbolic parameters).
-  const Circuit& circuit() const { return energy_.circuit(); }
+  const Circuit& circuit() const { return energy_->circuit(); }
 
   /// ⟨ψ(γ,β)|H_C|ψ(γ,β)⟩, offset included.
   Result<double> Energy(const DVector& params) const;
@@ -70,8 +71,8 @@ class Qaoa {
   IsingModel cost_;
   int layers_;
   /// ⟨H_C⟩ over the QAOA circuit, built once: it owns the circuit and the
-  /// cost observable, and its evaluation count spans every Energy/Optimize.
-  ExpectationFunction energy_;
+  /// cost observable. Immutable, so copies of a Qaoa share it.
+  std::shared_ptr<const ExpectationFunction> energy_;
 };
 
 }  // namespace qdb

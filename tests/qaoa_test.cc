@@ -112,6 +112,31 @@ TEST(QaoaTest, SampleBestReturnsValidSpins) {
   for (int8_t s : spins.value()) EXPECT_TRUE(s == 1 || s == -1);
 }
 
+TEST(QaoaTest, OptimizeCountsOnlyItsOwnEvaluations) {
+  // Energy calls made before Optimize, on the Qaoa or on a copy of it, must
+  // not leak into the evaluation count Optimize reports.
+  IsingModel ising(3);
+  ising.AddCoupling(0, 1, 1.0);
+  ising.AddCoupling(1, 2, -0.5);
+  QaoaOptions opts;
+  opts.restarts = 2;
+  opts.sample_shots = 64;
+  opts.nelder_mead.max_iterations = 40;
+  const Qaoa fresh(ising, 1);
+  auto baseline = fresh.Optimize(opts);
+  ASSERT_TRUE(baseline.ok());
+  EXPECT_GT(baseline.value().circuit_evaluations, 0);
+
+  const Qaoa used(ising, 1);
+  for (int k = 0; k < 5; ++k) ASSERT_TRUE(used.Energy({0.1 * k, 0.2}).ok());
+  const Qaoa copy = used;
+  ASSERT_TRUE(copy.Energy({0.3, 0.4}).ok());
+  auto again = copy.Optimize(opts);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value().circuit_evaluations,
+            baseline.value().circuit_evaluations);
+}
+
 TEST(QaoaTest, EnergyMatchesDiagonalExpectation) {
   // Cross-check the PauliSum pathway against a direct diagonal computation.
   IsingModel ising(2);
