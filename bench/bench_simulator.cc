@@ -8,6 +8,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -102,7 +103,7 @@ void BM_CompiledRandomCircuit(benchmark::State& state) {
 }
 
 BENCHMARK(BM_CompiledRandomCircuit)
-    ->DenseRange(4, 18, 2)
+    ->DenseRange(4, 20, 2)
     ->Unit(benchmark::kMillisecond);
 
 void BM_CircuitCompile(benchmark::State& state) {
@@ -374,20 +375,70 @@ void BM_IsingExpectation16(benchmark::State& state) {
 
 BENCHMARK(BM_IsingExpectation16)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
-// One Qaoa::Energy of the same instance: compiled replay (H layer, one fused
-// diagonal run, RX layer) plus the batched expectation.
+// One Qaoa::Energy of the same instance on a pool of `lanes` lanes: compiled
+// replay (H layer, one fused diagonal run, RX layer) plus the batched
+// expectation.
 void BM_QaoaEnergy16(benchmark::State& state) {
+  const int lanes = static_cast<int>(state.range(0));
+  const int default_lanes = ThreadPool::Global().size();
+  ThreadPool::SetGlobalThreads(lanes);
   const Qaoa qaoa = JoinOrderQaoa16();
   const DVector params = {0.3, 0.4};
   for (auto _ : state) {
     benchmark::DoNotOptimize(qaoa.Energy(params).ValueOrDie());
   }
+  ThreadPool::SetGlobalThreads(default_lanes);
   const CompiledCircuit program = CompiledCircuit::Compile(qaoa.circuit());
   state.counters["gates"] = static_cast<double>(qaoa.circuit().size());
   state.counters["compiled_ops"] = static_cast<double>(program.num_ops());
+  state.counters["lanes"] = lanes;
 }
 
-BENCHMARK(BM_QaoaEnergy16)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_QaoaEnergy16)
+    ->ArgName("lanes")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMicrosecond);
+
+// Where BM_QaoaEnergy16's time goes. Stage s replays the first s parts of
+// the energy on `lanes` lanes: 1 = the H layer on |0…0⟩ (a fresh state
+// included), 2 = plus the cost layer, 3 = plus the RX mixer, 4 = plus the
+// expectation. Each part's cost is the difference of consecutive stages.
+void BM_QaoaEnergyStages(benchmark::State& state) {
+  const int stage = static_cast<int>(state.range(0));
+  const int lanes = static_cast<int>(state.range(1));
+  const int default_lanes = ThreadPool::Global().size();
+  ThreadPool::SetGlobalThreads(lanes);
+  const Qaoa qaoa = JoinOrderQaoa16();
+  const Circuit& full = qaoa.circuit();
+  const int n = full.num_qubits();
+  // The circuit is n H gates, the cost gates, then n RX gates.
+  const size_t stage_gates[3] = {static_cast<size_t>(n), full.size() - n,
+                                 full.size()};
+  Circuit prefix(n);
+  for (size_t i = 0; i < stage_gates[std::min(stage, 3) - 1]; ++i) {
+    prefix.Append(full.gates()[i]);
+  }
+  const CompiledCircuit program = CompiledCircuit::Compile(prefix);
+  const PreparedObservable observable(qaoa.cost().ToPauliSum());
+  const DVector params = {0.3, 0.4};
+  for (auto _ : state) {
+    StateVector psi(n);
+    benchmark::DoNotOptimize(program.Execute(psi, params).ok());
+    if (stage == 4) benchmark::DoNotOptimize(observable.Expectation(psi));
+    benchmark::ClobberMemory();
+  }
+  ThreadPool::SetGlobalThreads(default_lanes);
+  state.counters["compiled_ops"] = static_cast<double>(program.num_ops());
+}
+
+BENCHMARK(BM_QaoaEnergyStages)
+    ->ArgNames({"stage", "lanes"})
+    ->ArgsProduct({{1, 2, 3, 4}, {1, 2, 4}})
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true)
+    ->Unit(benchmark::kMicrosecond);
 
 // Compiled replay of ZZFeatureMap(x, reps=2) on `features` qubits, the
 // encoding of served and trained ZZ models. After diagonal folding each rep
