@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <deque>
 #include <unordered_map>
 #include <utility>
@@ -47,6 +48,7 @@ struct CompiledCounters {
   obs::Counter* multi_controlled = obs::GetCounter("sim.gates.multi_controlled");
   obs::Counter* generic_kq = obs::GetCounter("sim.gates.generic_kq");
   obs::Counter* diagonal_run = obs::GetCounter("sim.gates.diagonal_run");
+  obs::Counter* product_state = obs::GetCounter("sim.gates.product_state");
   obs::Counter* amplitude_touches = obs::GetCounter("sim.amplitude_touches");
 };
 
@@ -566,6 +568,128 @@ CompiledOp BindDiagonalRun(const CompiledOp& op, const DVector& params) {
   return bound;
 }
 
+/// Binds a thin parametric evaluator: its angles from `params`, its payload
+/// through the same lowering ladder the interpreter's dispatch follows.
+CompiledOp BindGate(const CompiledOp& op, const DVector& params) {
+  DVector angles;
+  angles.reserve(op.exprs.size());
+  for (const ParamExpr& e : op.exprs) angles.push_back(e.Evaluate(params));
+  CompiledOp bound;
+  bound.q0 = op.q0;
+  bound.q1 = op.q1;
+  bound.src = op.src;
+  LowerBound(op.src, angles, &bound);
+  return bound;
+}
+
+// ---- Product prefix ---------------------------------------------------------
+
+/// Length of the leading run of single-qubit ops, constant or parametric (a
+/// parametric 1Q evaluator carries the provisional kind k1QDense).
+size_t ProductPrefixLength(const std::vector<CompiledOp>& ops) {
+  size_t len = 0;
+  while (len < ops.size() && (ops[len].kind == CompiledOpKind::k1QDense ||
+                              ops[len].kind == CompiledOpKind::k1QDiag)) {
+    ++len;
+  }
+  return len;
+}
+
+/// True iff `state` is bit for bit |0…0⟩: a[0] = 1 + 0i and every other
+/// amplitude +0. A -0 or a denormal anywhere counts as "not |0…0⟩", which
+/// only costs the fast path.
+bool IsZeroState(const StateVector& state) {
+  const double* re = state.reals();
+  const double* im = state.imags();
+  const auto bits = [](double x) {
+    uint64_t u;
+    std::memcpy(&u, &x, sizeof(u));
+    return u;
+  };
+  if (re[0] != 1.0 || bits(im[0]) != 0) return false;
+  constexpr uint64_t kStep = 4096;  // Early exit between steps.
+  const uint64_t dim = state.dim();
+  for (uint64_t b = 1; b < dim; b += kStep) {
+    const uint64_t e = std::min(dim, b + kStep);
+    uint64_t any = 0;
+    for (uint64_t i = b; i < e; ++i) any |= bits(re[i]) | bits(im[i]);
+    if (any != 0) return false;
+  }
+  return true;
+}
+
+/// Fills table[0, 2^k) with the product over `factors` (k of them, factor j
+/// on index bit j) of factor[bit j of the index], by doubling in bit order.
+void ProductTable(const std::vector<const std::array<Complex, 2>*>& factors,
+                  double* table_re, double* table_im) {
+  table_re[0] = 1.0;
+  table_im[0] = 0.0;
+  uint64_t size = 1;
+  for (const std::array<Complex, 2>* v : factors) {
+    for (uint64_t j = 0; j < size; ++j) {
+      const Complex t(table_re[j], table_im[j]);
+      const Complex one = t * (*v)[1];
+      const Complex zero = t * (*v)[0];
+      table_re[j + size] = one.real();
+      table_im[j + size] = one.imag();
+      table_re[j] = zero.real();
+      table_im[j] = zero.imag();
+    }
+    size <<= 1;
+  }
+}
+
+/// Binds a program's product prefix ops[0, len) into one kProductState op:
+/// qubit q ends in U_k…U_1|0⟩ for its prefix ops U_1…U_k, and the state is
+/// the tensor product of those 2-vectors, factored into tables over the
+/// high and low halves of the index bits.
+CompiledOp BindProductState(const std::vector<CompiledOp>& ops, size_t len,
+                            int num_qubits, const DVector& params) {
+  std::vector<std::array<Complex, 2>> v(
+      static_cast<size_t>(num_qubits), {Complex(1, 0), Complex(0, 0)});
+  for (size_t i = 0; i < len; ++i) {
+    const CompiledOp bound =
+        ops[i].parametric() ? BindGate(ops[i], params) : ops[i];
+    std::array<Complex, 2>& x = v[static_cast<size_t>(bound.q0)];
+    if (bound.kind == CompiledOpKind::k1QDiag) {
+      x = {bound.c[0] * x[0], bound.c[1] * x[1]};
+    } else {
+      x = {bound.c[0] * x[0] + bound.c[1] * x[1],
+           bound.c[2] * x[0] + bound.c[3] * x[1]};
+    }
+  }
+  const int low_bits = num_qubits - num_qubits / 2;
+  const uint64_t low_size = uint64_t{1} << low_bits;
+  const uint64_t high_size = uint64_t{1} << (num_qubits - low_bits);
+  // Index bit j belongs to qubit num_qubits - 1 - j.
+  std::vector<const std::array<Complex, 2>*> low, high;
+  for (int j = 0; j < num_qubits; ++j) {
+    (j < low_bits ? low : high)
+        .push_back(&v[static_cast<size_t>(num_qubits - 1 - j)]);
+  }
+  CompiledOp op;
+  op.kind = CompiledOpKind::kProductState;
+  op.q0 = low_bits;
+  op.fused_gates = static_cast<int>(len);
+  op.product.resize(2 * (high_size + low_size));
+  double* p = op.product.data();
+  ProductTable(high, p, p + high_size);
+  ProductTable(low, p + 2 * high_size, p + 2 * high_size + low_size);
+  return op;
+}
+
+/// Writes a kProductState op's amplitudes over [b, e).
+void ApplyProductStateRange(const CompiledOp& op, int num_qubits, double* re,
+                            double* im, uint64_t b, uint64_t e,
+                            simd::SimdLevel lvl) {
+  const uint64_t high_size = uint64_t{1} << (num_qubits - op.q0);
+  const uint64_t low_size = uint64_t{1} << op.q0;
+  const double* p = op.product.data();
+  simd::ProductStateRange(lvl, re, im, b, e, p, p + high_size,
+                          p + 2 * high_size, p + 2 * high_size + low_size,
+                          op.q0);
+}
+
 // ---- Cache-blocked execution ------------------------------------------------
 
 /// Amplitude count per block: 2^16 amplitudes are 512 KiB per plane, 1 MiB
@@ -582,6 +706,7 @@ bool IsBlockable(const CompiledOp& op, int num_qubits) {
   };
   switch (op.kind) {
     case CompiledOpKind::kDiagonalRun:
+    case CompiledOpKind::kProductState:
       return true;  // Element-wise: every block maps onto itself.
     case CompiledOpKind::k1QDense:
     case CompiledOpKind::k1QDiag:
@@ -663,6 +788,9 @@ void ApplyOpToBlock(const CompiledOp& op, int num_qubits, double* re,
     case CompiledOpKind::kDiagonalRun:
       ApplyWalshPhaseRange(op.walsh, re, im, b0, b1);
       break;
+    case CompiledOpKind::kProductState:
+      ApplyProductStateRange(op, num_qubits, re, im, b0, b1, lvl);
+      break;
     default:
       QDB_CHECK(false) << "non-blockable op in a blocked run";
   }
@@ -738,6 +866,10 @@ void CountOp(const CompiledOp& op, long dim, CompiledCounters& counters) {
       counters.diagonal_run->Increment();
       counters.amplitude_touches->Increment(dim);
       break;
+    case CompiledOpKind::kProductState:
+      counters.product_state->Increment();
+      counters.amplitude_touches->Increment(dim);
+      break;
   }
 }
 
@@ -760,6 +892,7 @@ CompiledCircuit CompiledCircuit::Compile(const Circuit& circuit,
     ops = FusePass(std::move(ops), circuit.num_qubits(), compiled.stats_);
     ops = DiagonalRunPass(std::move(ops), circuit.num_qubits(),
                           compiled.stats_);
+    compiled.stats_.product_prefix_ops = ProductPrefixLength(ops);
   }
   compiled.stats_.emitted_ops = ops.size();
   compiled.ops_ = std::move(ops);
@@ -802,32 +935,30 @@ Status CompiledCircuit::Execute(StateVector& state,
   const long dim = static_cast<long>(state.dim());
 
   // Bind parametric ops up front so run detection sees resolved kinds. The
-  // deque gives the bound copies stable addresses.
+  // deque gives the bound copies stable addresses. On |0…0⟩ the product
+  // prefix binds into one op that writes its product state.
   std::deque<CompiledOp> bound_storage;
   std::vector<const CompiledOp*> resolved;
   resolved.reserve(ops_.size());
-  DVector angles;
-  for (const CompiledOp& op : ops_) {
+  size_t first = 0;
+  const size_t prefix = stats_.product_prefix_ops;
+  if (prefix > 0 && IsZeroState(state)) {
+    bound_storage.push_back(
+        BindProductState(ops_, prefix, num_qubits_, params));
+    resolved.push_back(&bound_storage.back());
+    first = prefix;
+  }
+  for (size_t i = first; i < ops_.size(); ++i) {
+    const CompiledOp& op = ops_[i];
     if (!op.parametric()) {
       resolved.push_back(&op);
-      continue;
-    }
-    if (op.kind == CompiledOpKind::kDiagonalRun) {
+    } else if (op.kind == CompiledOpKind::kDiagonalRun) {
       bound_storage.push_back(BindDiagonalRun(op, params));
       resolved.push_back(&bound_storage.back());
-      continue;
+    } else {
+      bound_storage.push_back(BindGate(op, params));
+      resolved.push_back(&bound_storage.back());
     }
-    // Thin evaluator: bind the angles and resolve the payload through the
-    // same lowering ladder the interpreter's dispatch follows.
-    angles.clear();
-    for (const ParamExpr& e : op.exprs) angles.push_back(e.Evaluate(params));
-    CompiledOp bound;
-    bound.q0 = op.q0;
-    bound.q1 = op.q1;
-    bound.src = op.src;
-    LowerBound(op.src, angles, &bound);
-    bound_storage.push_back(std::move(bound));
-    resolved.push_back(&bound_storage.back());
   }
 
   // Cache blocking only pays off when the state exceeds a block; runs of
@@ -888,6 +1019,20 @@ Status CompiledCircuit::Execute(StateVector& state,
       case CompiledOpKind::kDiagonalRun:
         state.ApplyWalshPhase(op->walsh);
         break;
+      case CompiledOpKind::kProductState: {
+        double* re = state.reals();
+        double* im = state.imags();
+        const simd::SimdLevel lvl = simd::ActiveSimdLevel();
+        const auto write = [&](uint64_t b, uint64_t e) {
+          ApplyProductStateRange(*op, num_qubits_, re, im, b, e, lvl);
+        };
+        if (state.dim() >= kParallelAmplitudeThreshold) {
+          ThreadPool::Global().ParallelFor(0, state.dim(), write);
+        } else {
+          write(0, state.dim());
+        }
+        break;
+      }
     }
     CountOp(*op, dim, counters);
     ++idx;

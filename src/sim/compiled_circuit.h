@@ -95,6 +95,9 @@ enum class CompiledOpKind : uint8_t {
   kMCZ,           ///< Multi-controlled Z over `qubits` ∪ {q0}.
   kKQDense,       ///< Generic 2^k dense over `qubits`.
   kDiagonalRun,   ///< e^{iΦ} with Φ = Σ `walsh` (+ bound `members`).
+  /// Writes a product state from `product`'s factor tables. Replay builds
+  /// it from a program's product prefix; programs never store one.
+  kProductState,
 };
 
 /// \brief A parametric diagonal gate folded into a kDiagonalRun. Replay binds
@@ -125,6 +128,9 @@ struct CompiledOp {
   /// the constant gates' coefficients are summed in at compile time.
   std::vector<WalshTerm> walsh;
   std::vector<DiagonalRunMember> members;  ///< kDiagonalRun: parametric gates.
+  /// kProductState: amplitude i is high[i >> q0] · low[i & (2^q0 − 1)];
+  /// the planes are high re, high im, low re, low im, back to back.
+  std::vector<double> product;
   int fused_gates = 1;       ///< Source gates folded into this op.
 
   bool parametric() const { return !exprs.empty() || !members.empty(); }
@@ -142,6 +148,7 @@ struct CompileStats {
   size_t fused_2q2q = 0;     ///< 2Q pairs on one qubit pair merged.
   size_t diagonal_runs = 0;  ///< kDiagonalRun ops emitted.
   size_t diagonal_run_gates = 0;  ///< Source gates folded into them.
+  size_t product_prefix_ops = 0;  ///< Leading 1Q ops replay may fold.
 };
 
 /// \brief A circuit lowered to a flat, typed kernel program. Immutable after
@@ -161,6 +168,10 @@ class CompiledCircuit {
   int num_parameters() const { return num_parameters_; }
   size_t num_ops() const { return ops_.size(); }
   const std::vector<CompiledOp>& ops() const { return ops_; }
+  /// The program's product prefix: its leading run of single-qubit ops,
+  /// constant or parametric. Replay on |0…0⟩ writes their product state in
+  /// one pass instead of replaying them. Always 0 without fusion.
+  size_t product_prefix_ops() const { return stats_.product_prefix_ops; }
   const CompileStats& stats() const { return stats_; }
 
  private:

@@ -152,6 +152,19 @@ void DivRangeScalar(double* re, double* im, uint64_t b, uint64_t e,
   }
 }
 
+void ProductStateRangeScalar(double* re, double* im, uint64_t b, uint64_t e,
+                             const double* high_re, const double* high_im,
+                             const double* low_re, const double* low_im,
+                             int low_bits) {
+  const uint64_t low_mask = (uint64_t{1} << low_bits) - 1;
+  for (uint64_t i = b; i < e; ++i) {
+    const uint64_t h = i >> low_bits;
+    const uint64_t l = i & low_mask;
+    re[i] = high_re[h] * low_re[l] - high_im[h] * low_im[l];
+    im[i] = high_re[h] * low_im[l] + high_im[h] * low_re[l];
+  }
+}
+
 // ---- Dispatchers ------------------------------------------------------------
 
 void Apply1QRange(SimdLevel level, double* re, double* im, uint64_t pb,
@@ -239,6 +252,19 @@ void DivRange(SimdLevel level, double* re, double* im, uint64_t b, uint64_t e,
     DivRangeAvx2(re, im, b, e, divisor);
   } else {
     DivRangeScalar(re, im, b, e, divisor);
+  }
+}
+
+void ProductStateRange(SimdLevel level, double* re, double* im, uint64_t b,
+                       uint64_t e, const double* high_re,
+                       const double* high_im, const double* low_re,
+                       const double* low_im, int low_bits) {
+  if (level == SimdLevel::kAvx2) {
+    ProductStateRangeAvx2(re, im, b, e, high_re, high_im, low_re, low_im,
+                          low_bits);
+  } else {
+    ProductStateRangeScalar(re, im, b, e, high_re, high_im, low_re, low_im,
+                            low_bits);
   }
 }
 

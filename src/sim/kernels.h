@@ -79,6 +79,18 @@ void Apply2QRange(SimdLevel level, double* re, double* im, uint64_t gb,
                   uint64_t mid_keep, const double (*mr)[4],
                   const double (*mi)[4]);
 
+// ---- Product states ---------------------------------------------------------
+
+/// Writes a product state over elements [b, e):
+///   a[i] = high[i >> low_bits] · low[i & (2^low_bits − 1)],
+/// each table given as split (re, im) planes. Every element costs the one
+/// complex product (hr·lr − hi·li, hr·li + hi·lr), so any split of the state
+/// into ranges writes the same bits.
+void ProductStateRange(SimdLevel level, double* re, double* im, uint64_t b,
+                       uint64_t e, const double* high_re,
+                       const double* high_im, const double* low_re,
+                       const double* low_im, int low_bits);
+
 // ---- Probability / norm reductions -----------------------------------------
 
 /// out[i] = re[i]^2 + im[i]^2 for i in [b, e).
@@ -130,6 +142,10 @@ double CollapseRangeScalar(double* re, double* im, uint64_t b, uint64_t e,
                            uint64_t mask, uint64_t keep);
 void DivRangeScalar(double* re, double* im, uint64_t b, uint64_t e,
                     double divisor);
+void ProductStateRangeScalar(double* re, double* im, uint64_t b, uint64_t e,
+                             const double* high_re, const double* high_im,
+                             const double* low_re, const double* low_im,
+                             int low_bits);
 
 void Apply1QRangeAvx2(double* re, double* im, uint64_t pb, uint64_t pe,
                       uint64_t stride, const double* m);
@@ -153,6 +169,10 @@ double CollapseRangeAvx2(double* re, double* im, uint64_t b, uint64_t e,
                          uint64_t mask, uint64_t keep);
 void DivRangeAvx2(double* re, double* im, uint64_t b, uint64_t e,
                   double divisor);
+void ProductStateRangeAvx2(double* re, double* im, uint64_t b, uint64_t e,
+                           const double* high_re, const double* high_im,
+                           const double* low_re, const double* low_im,
+                           int low_bits);
 
 }  // namespace simd
 }  // namespace qdb

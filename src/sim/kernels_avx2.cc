@@ -364,6 +364,36 @@ QDB_AVX2 void DivRangeAvx2(double* re, double* im, uint64_t b, uint64_t e,
   }
 }
 
+QDB_AVX2 void ProductStateRangeAvx2(double* re, double* im, uint64_t b,
+                                    uint64_t e, const double* high_re,
+                                    const double* high_im,
+                                    const double* low_re,
+                                    const double* low_im, int low_bits) {
+  const uint64_t low_mask = (uint64_t{1} << low_bits) - 1;
+  uint64_t i = b;
+  while (i < e) {
+    // One row shares its high factor; its low indices are contiguous.
+    const uint64_t h = i >> low_bits;
+    const uint64_t stop = std::min(e, (h + 1) << low_bits);
+    const double hr = high_re[h], hi = high_im[h];
+    const __m256d vhr = _mm256_set1_pd(hr), vhi = _mm256_set1_pd(hi);
+    const double* lr = low_re + (i & low_mask) - i;
+    const double* li = low_im + (i & low_mask) - i;
+    for (; i + 4 <= stop; i += 4) {
+      const __m256d r = _mm256_loadu_pd(lr + i);
+      const __m256d m = _mm256_loadu_pd(li + i);
+      _mm256_storeu_pd(re + i, _mm256_sub_pd(_mm256_mul_pd(vhr, r),
+                                             _mm256_mul_pd(vhi, m)));
+      _mm256_storeu_pd(im + i, _mm256_add_pd(_mm256_mul_pd(vhr, m),
+                                             _mm256_mul_pd(vhi, r)));
+    }
+    for (; i < stop; ++i) {
+      re[i] = hr * lr[i] - hi * li[i];
+      im[i] = hr * li[i] + hi * lr[i];
+    }
+  }
+}
+
 }  // namespace simd
 }  // namespace qdb
 
@@ -413,6 +443,13 @@ double CollapseRangeAvx2(double* re, double* im, uint64_t b, uint64_t e,
 void DivRangeAvx2(double* re, double* im, uint64_t b, uint64_t e,
                   double divisor) {
   DivRangeScalar(re, im, b, e, divisor);
+}
+void ProductStateRangeAvx2(double* re, double* im, uint64_t b, uint64_t e,
+                           const double* high_re, const double* high_im,
+                           const double* low_re, const double* low_im,
+                           int low_bits) {
+  ProductStateRangeScalar(re, im, b, e, high_re, high_im, low_re, low_im,
+                          low_bits);
 }
 
 }  // namespace simd

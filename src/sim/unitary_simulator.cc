@@ -13,7 +13,10 @@ Result<Matrix> CircuitUnitary(const Circuit& circuit, const DVector& params) {
   }
   const uint64_t dim = uint64_t{1} << circuit.num_qubits();
   Matrix u(dim, dim);
+  // The per-gate interpreter keeps this an oracle for compiled replay:
+  // nothing here goes through lowering, fusion or the product prefix.
   StateVectorSimulator sim;
+  sim.set_execution_mode(ExecutionMode::kInterpreted);
   for (uint64_t col = 0; col < dim; ++col) {
     StateVector state = StateVector::BasisState(circuit.num_qubits(), col);
     QDB_RETURN_IF_ERROR(sim.RunInPlace(circuit, state, params));

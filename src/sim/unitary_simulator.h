@@ -14,7 +14,8 @@
 namespace qdb {
 
 /// \brief Builds the 2^n x 2^n unitary of a circuit by propagating each
-/// computational basis state through the state-vector simulator.
+/// computational basis state through the state-vector simulator's per-gate
+/// interpreter, so it can serve as an oracle for compiled replay.
 ///
 /// \param circuit the circuit (n ≤ 12 enforced: 16M complex entries).
 /// \param params bound values for symbolic parameters.

@@ -15,10 +15,13 @@
 #include "common/thread_pool.h"
 #include "db/join_order_qubo.h"
 #include "db/query_graph.h"
+#include "linalg/vector_ops.h"
+#include "obs/obs.h"
 #include "sim/compiled_circuit.h"
 #include "sim/simd.h"
 #include "sim/state_vector.h"
 #include "sim/statevector_simulator.h"
+#include "sim/unitary_simulator.h"
 #include "variational/qaoa.h"
 
 namespace qdb {
@@ -391,6 +394,77 @@ TEST(CompiledCircuitTest, DiagonalRunsShorterThanThresholdStayPerGate) {
   EXPECT_EQ(collapsed.num_ops(), long_run.size() - below);
   ExpectNear(RunInterpreted(long_run, {0.8, 0.3}),
              RunCompiled(long_run, CompileOptions{}, {0.8, 0.3}), 1e-12);
+}
+
+/// A leading run of single-qubit gates, constant and parametric, with
+/// qubits repeating (the product prefix), then entangling gates and more
+/// single-qubit gates.
+Circuit ProductPrefixCircuit(int n) {
+  Circuit c(n);
+  for (int q = 0; q < n; ++q) c.H(q);
+  for (int q = 0; q < n; ++q) c.RY(q, ParamExpr::Affine(0, 0.7 + 0.1 * q, 0.2));
+  c.RZ(1, ParamExpr::Variable(1)).T(2).RX(0, 0.4).S(n - 1);
+  c.RZ(0, ParamExpr::Affine(1, -1.5, 0.3));
+  for (int q = 0; q + 1 < n; ++q) c.CX(q, q + 1);
+  c.RZZ(0, n - 1, ParamExpr::Variable(0));
+  for (int q = 0; q < n; ++q) c.RX(q, ParamExpr::Affine(1, 2.0, 0.0));
+  return c;
+}
+
+TEST(CompiledCircuitTest, ProductPrefixOnZeroStateMatchesUnitaryOracle) {
+  const int n = 6;
+  const Circuit c = ProductPrefixCircuit(n);
+  const CompiledCircuit fused = CompiledCircuit::Compile(c);
+  // The leading single-qubit gates fuse per qubit where constant; the
+  // parametric ones stay separate, and all of them form the prefix.
+  ASSERT_GT(fused.product_prefix_ops(), static_cast<size_t>(n));
+  EXPECT_EQ(fused.ops()[fused.product_prefix_ops()].kind,
+            CompiledOpKind::kControlled1Q);
+  EXPECT_EQ(CompiledCircuit::Compile(c, CompileOptions{.fuse = false})
+                .product_prefix_ops(),
+            0u);
+
+  obs::Counter* product_states = obs::GetCounter("sim.gates.product_state");
+  for (const DVector& params : {DVector{0.3, 0.4}, DVector{-2.1, 1.7}}) {
+    const Matrix u = CircuitUnitary(c, params).ValueOrDie();
+    const long before = product_states->Value();
+    StateVector state(n);
+    ASSERT_TRUE(fused.Execute(state, params).ok());
+    EXPECT_EQ(product_states->Value(), before + 1);
+    for (uint64_t i = 0; i < state.dim(); ++i) {
+      ASSERT_NEAR(std::abs(state.amplitude(i) - u(i, 0)), 0.0, 1e-12)
+          << "amplitude " << i;
+    }
+  }
+}
+
+TEST(CompiledCircuitTest, ProductPrefixOnOtherStatesReplaysItsOps) {
+  const int n = 6;
+  const Circuit c = ProductPrefixCircuit(n);
+  const CompiledCircuit fused = CompiledCircuit::Compile(c);
+  const CompiledCircuit unfused =
+      CompiledCircuit::Compile(c, CompileOptions{.fuse = false});
+  obs::Counter* product_states = obs::GetCounter("sim.gates.product_state");
+  Rng rng(17);
+  CVector amps(uint64_t{1} << n);
+  for (Complex& a : amps) a = Complex(rng.Normal(), rng.Normal());
+  Normalize(amps);
+  // A basis state other than |0…0⟩, a dense state, and |0…0⟩ with a
+  // negative zero: none may take the product-state path.
+  StateVector signed_zero(n);
+  signed_zero.set_amplitude(3, Complex(-0.0, 0.0));
+  for (const StateVector& input :
+       {StateVector::BasisState(n, 5),
+        StateVector::FromAmplitudes(amps).ValueOrDie(), signed_zero}) {
+    const DVector params = {0.9, -0.6};
+    StateVector expected = input;
+    ASSERT_TRUE(unfused.Execute(expected, params).ok());
+    const long before = product_states->Value();
+    StateVector state = input;
+    ASSERT_TRUE(fused.Execute(state, params).ok());
+    EXPECT_EQ(product_states->Value(), before);
+    ExpectNear(expected, state, 1e-12);
+  }
 }
 
 TEST(CompiledCircuitTest, CacheHitsAndStructuralKeys) {
