@@ -401,10 +401,12 @@ BENCHMARK(BM_QaoaEnergy16)
     ->Arg(4)
     ->Unit(benchmark::kMicrosecond);
 
-// Where BM_QaoaEnergy16's time goes. Stage s replays the first s parts of
-// the energy on `lanes` lanes: 1 = the H layer on |0…0⟩ (a fresh state
-// included), 2 = plus the cost layer, 3 = plus the RX mixer, 4 = plus the
-// expectation. Each part's cost is the difference of consecutive stages.
+// Where BM_QaoaEnergy16's time goes. Stage s resets one reused state to
+// |0…0⟩ and replays the first s parts of the energy on `lanes` lanes:
+// 0 = the reset alone, 1 = plus the H layer, 2 = plus the cost layer,
+// 3 = plus the RX mixer, 4 = plus the expectation. Each part's cost is the
+// difference of consecutive stages. (Qaoa::Energy allocates a fresh state
+// instead of resetting one; BM_QaoaEnergy16 includes that.)
 void BM_QaoaEnergyStages(benchmark::State& state) {
   const int stage = static_cast<int>(state.range(0));
   const int lanes = static_cast<int>(state.range(1));
@@ -414,18 +416,21 @@ void BM_QaoaEnergyStages(benchmark::State& state) {
   const Circuit& full = qaoa.circuit();
   const int n = full.num_qubits();
   // The circuit is n H gates, the cost gates, then n RX gates.
-  const size_t stage_gates[3] = {static_cast<size_t>(n), full.size() - n,
+  const size_t stage_gates[4] = {0, static_cast<size_t>(n), full.size() - n,
                                  full.size()};
   Circuit prefix(n);
-  for (size_t i = 0; i < stage_gates[std::min(stage, 3) - 1]; ++i) {
+  for (size_t i = 0; i < stage_gates[std::min(stage, 3)]; ++i) {
     prefix.Append(full.gates()[i]);
   }
   const CompiledCircuit program = CompiledCircuit::Compile(prefix);
   const PreparedObservable observable(qaoa.cost().ToPauliSum());
   const DVector params = {0.3, 0.4};
+  StateVector psi(n);
   for (auto _ : state) {
-    StateVector psi(n);
-    benchmark::DoNotOptimize(program.Execute(psi, params).ok());
+    std::fill(psi.reals(), psi.reals() + psi.dim(), 0.0);
+    std::fill(psi.imags(), psi.imags() + psi.dim(), 0.0);
+    psi.reals()[0] = 1.0;
+    if (stage > 0) benchmark::DoNotOptimize(program.Execute(psi, params).ok());
     if (stage == 4) benchmark::DoNotOptimize(observable.Expectation(psi));
     benchmark::ClobberMemory();
   }
@@ -435,8 +440,69 @@ void BM_QaoaEnergyStages(benchmark::State& state) {
 
 BENCHMARK(BM_QaoaEnergyStages)
     ->ArgNames({"stage", "lanes"})
-    ->ArgsProduct({{1, 2, 3, 4}, {1, 2, 4}})
+    ->ArgsProduct({{0, 1, 2, 3, 4}, {1, 2, 4}})
     ->Repetitions(5)
+    ->ReportAggregatesOnly(true)
+    ->Unit(benchmark::kMicrosecond);
+
+// The sweep behind kReplayTileBits (sim/compiled_circuit.h). One compiled
+// replay on `qubits` qubits and `lanes` lanes with tiles of 2^tile_bits
+// amplitudes; tile_bits = 0 replays op at a time (no tiles). Program 0 is a
+// p=1 QAOA energy circuit on a dense random Ising model (H layer, one
+// diagonal run, RX layer); program 1 is the depth-20 random dense circuit of
+// BM_CompiledRandomCircuit. Results are bit-identical at every tile size, so
+// the fastest tile at each width and lane count is the one to pick.
+Circuit DenseQaoaCircuit(int n) {
+  Rng rng(static_cast<uint64_t>(n));
+  Circuit c(n);
+  for (int q = 0; q < n; ++q) c.H(q);
+  for (int q = 0; q < n; ++q) {
+    c.RZ(q, ParamExpr::Affine(0, rng.Uniform(-2.0, 2.0), 0.0));
+  }
+  for (int a = 0; a < n; ++a) {
+    for (int b = a + 1; b < n; ++b) {
+      c.RZZ(a, b, ParamExpr::Affine(0, rng.Uniform(-2.0, 2.0), 0.0));
+    }
+  }
+  for (int q = 0; q < n; ++q) c.RX(q, ParamExpr::Affine(1, 2.0, 0.0));
+  return c;
+}
+
+void BM_ReplayTileBits(benchmark::State& state) {
+  const bool qaoa = state.range(0) == 0;
+  const int n = static_cast<int>(state.range(1));
+  const int tile_bits =
+      state.range(2) == 0 ? n : static_cast<int>(state.range(2));
+  const int lanes = static_cast<int>(state.range(3));
+  const int default_lanes = ThreadPool::Global().size();
+  ThreadPool::SetGlobalThreads(lanes);
+  const CompiledCircuit program = CompiledCircuit::Compile(
+      qaoa ? DenseQaoaCircuit(n) : RandomDenseCircuit(n, 20, 42));
+  const DVector params = {0.3, 0.4};
+  for (auto _ : state) {
+    StateVector psi(n);
+    benchmark::DoNotOptimize(
+        program.ExecuteWithTileBits(psi, params, tile_bits).ok());
+    benchmark::ClobberMemory();
+  }
+  ThreadPool::SetGlobalThreads(default_lanes);
+  state.counters["compiled_ops"] = static_cast<double>(program.num_ops());
+}
+
+BENCHMARK(BM_ReplayTileBits)
+    ->ArgNames({"program", "qubits", "tile_bits", "lanes"})
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      for (int program : {0, 1}) {
+        for (int n = 14; n <= 20; ++n) {
+          for (int tile_bits : {0, 11, 12, 13, 14, 15, 16}) {
+            if (tile_bits >= n) continue;  // The same as no tiles.
+            for (int lanes : {1, 2, 4}) b->Args({program, n, tile_bits, lanes});
+          }
+        }
+      }
+    })
+    ->MinTime(0.1)
+    ->Repetitions(3)
     ->ReportAggregatesOnly(true)
     ->Unit(benchmark::kMicrosecond);
 

@@ -582,16 +582,59 @@ CompiledOp BindGate(const CompiledOp& op, const DVector& params) {
   return bound;
 }
 
+// ---- Single-qubit runs -------------------------------------------------------
+
+bool Is1QOp(const CompiledOp& op) {
+  return op.kind == CompiledOpKind::k1QDense ||
+         op.kind == CompiledOpKind::k1QDiag;
+}
+
+/// Reorders each maximal run of single-qubit ops (constant or parametric) by
+/// qubit so that its ops on low index bits sit next to the neighbour replay
+/// can tile with: after a 1Q/2Q op or a diagonal run, low bits first (they
+/// join the tiled run the neighbour ends), otherwise high bits first (they
+/// join whatever follows). Ops on distinct qubits commute exactly and the
+/// sort is stable, so every qubit keeps its own op order and the program's
+/// unitary is unchanged; only round-off moves.
+void OrderSingleQubitRuns(std::vector<CompiledOp>& ops) {
+  size_t begin = 0;
+  while (begin < ops.size()) {
+    if (!Is1QOp(ops[begin])) {
+      ++begin;
+      continue;
+    }
+    size_t end = begin;
+    while (end < ops.size() && Is1QOp(ops[end])) ++end;
+    bool low_first = false;
+    if (begin > 0) {
+      switch (ops[begin - 1].kind) {
+        case CompiledOpKind::kControlled1Q:
+        case CompiledOpKind::k2QDiag:
+        case CompiledOpKind::k2QDense:
+        case CompiledOpKind::kDiagonalRun:
+          low_first = true;
+          break;
+        default:
+          break;
+      }
+    }
+    // Qubit 0 is the index MSB: low bits first means descending qubits.
+    std::stable_sort(ops.begin() + static_cast<ptrdiff_t>(begin),
+                     ops.begin() + static_cast<ptrdiff_t>(end),
+                     [low_first](const CompiledOp& a, const CompiledOp& b) {
+                       return low_first ? a.q0 > b.q0 : a.q0 < b.q0;
+                     });
+    begin = end;
+  }
+}
+
 // ---- Product prefix ---------------------------------------------------------
 
 /// Length of the leading run of single-qubit ops, constant or parametric (a
 /// parametric 1Q evaluator carries the provisional kind k1QDense).
 size_t ProductPrefixLength(const std::vector<CompiledOp>& ops) {
   size_t len = 0;
-  while (len < ops.size() && (ops[len].kind == CompiledOpKind::k1QDense ||
-                              ops[len].kind == CompiledOpKind::k1QDiag)) {
-    ++len;
-  }
+  while (len < ops.size() && Is1QOp(ops[len])) ++len;
   return len;
 }
 
@@ -690,24 +733,19 @@ void ApplyProductStateRange(const CompiledOp& op, int num_qubits, double* re,
                           op.q0);
 }
 
-// ---- Cache-blocked execution ------------------------------------------------
+// ---- Tile-parallel execution ------------------------------------------------
 
-/// Amplitude count per block: 2^16 amplitudes are 512 KiB per plane, 1 MiB
-/// across both — an L2-resident working set, so a run of blockable ops
-/// streams the state from memory once per run instead of once per op.
-constexpr int kCacheBlockBits = 16;
-
-/// True when every operand bit of `op` lies below the block boundary, so
-/// the op maps each 2^kCacheBlockBits-amplitude block onto itself and can
-/// be applied block-locally. Swap/MCX/MCZ/kQ kinds act as barriers.
-bool IsBlockable(const CompiledOp& op, int num_qubits) {
-  const auto below = [num_qubits](int q) {
-    return (num_qubits - 1 - q) < kCacheBlockBits;
+/// True when every operand bit of `op` lies below bit `tile_bits`, so the op
+/// maps each aligned 2^tile_bits-amplitude tile onto itself and can be
+/// applied tile-locally. Swap/MCX/MCZ/kQ kinds act as barriers.
+bool IsTileable(const CompiledOp& op, int num_qubits, int tile_bits) {
+  const auto below = [num_qubits, tile_bits](int q) {
+    return (num_qubits - 1 - q) < tile_bits;
   };
   switch (op.kind) {
     case CompiledOpKind::kDiagonalRun:
     case CompiledOpKind::kProductState:
-      return true;  // Element-wise: every block maps onto itself.
+      return true;  // Element-wise: every tile maps onto itself.
     case CompiledOpKind::k1QDense:
     case CompiledOpKind::k1QDiag:
       return below(op.q0);
@@ -720,13 +758,13 @@ bool IsBlockable(const CompiledOp& op, int num_qubits) {
   }
 }
 
-/// Applies one resolved, blockable op to the block-aligned amplitude range
-/// [b0, b1). Pair/group subranges of a block are exactly the pairs/groups
-/// whose indices fall inside it (all operand bits sit below the block
+/// Applies one resolved, tileable op to the tile-aligned amplitude range
+/// [b0, b1). Pair/group subranges of a tile are exactly the pairs/groups
+/// whose indices fall inside it (all operand bits sit below the tile
 /// boundary), and the range kernels perform the identical per-element
-/// arithmetic the full-state StateVector methods do — so blocked replay is
-/// bit-identical to unblocked replay.
-void ApplyOpToBlock(const CompiledOp& op, int num_qubits, double* re,
+/// arithmetic the full-state StateVector methods do — so tiled replay is
+/// bit-identical to op-at-a-time replay.
+void ApplyOpToTile(const CompiledOp& op, int num_qubits, double* re,
                     double* im, uint64_t b0, uint64_t b1,
                     simd::SimdLevel lvl) {
   const auto pos = [num_qubits](int q) { return num_qubits - 1 - q; };
@@ -792,33 +830,34 @@ void ApplyOpToBlock(const CompiledOp& op, int num_qubits, double* re,
       ApplyProductStateRange(op, num_qubits, re, im, b0, b1, lvl);
       break;
     default:
-      QDB_CHECK(false) << "non-blockable op in a blocked run";
+      QDB_CHECK(false) << "non-tileable op in a tiled run";
   }
 }
 
-/// Applies a run of blockable ops block by block: every block gets the full
-/// run applied before the next block is touched, keeping it cache-resident
-/// across the run. Blocks partition the state and each op maps a block onto
-/// itself, so distributing blocks over the pool cannot change results — the
-/// final value of every amplitude is the same op composition, computed with
-/// the same elementary operations, as the op-by-op full-state walk.
-void ExecuteBlockedRun(const std::vector<const CompiledOp*>& run,
-                       StateVector& state) {
+/// Applies a run of tileable ops tile by tile, one RunTasks task per tile:
+/// every tile gets the whole run before the lane moves on, so the tile stays
+/// cache-resident across the run and the run costs one fork-join. Tiles
+/// partition the state and each op maps a tile onto itself, so neither the
+/// tile size nor the lane count can change results — every amplitude gets
+/// the same op composition, computed with the same elementary operations,
+/// as in the op-by-op full-state walk.
+void ExecuteTiledRun(const std::vector<const CompiledOp*>& run,
+                     StateVector& state, int tile_bits) {
   const int n = state.num_qubits();
   double* re = state.reals();
   double* im = state.imags();
   const simd::SimdLevel lvl = simd::ActiveSimdLevel();
-  const uint64_t block = uint64_t{1} << kCacheBlockBits;
-  const size_t num_blocks = static_cast<size_t>(state.dim() >> kCacheBlockBits);
-  ThreadPool::Global().RunTasks(num_blocks, [&](size_t blk) {
-    const uint64_t b0 = static_cast<uint64_t>(blk) * block;
+  const uint64_t tile = uint64_t{1} << tile_bits;
+  const size_t num_tiles = static_cast<size_t>(state.dim() >> tile_bits);
+  ThreadPool::Global().RunTasks(num_tiles, [&](size_t t) {
+    const uint64_t b0 = static_cast<uint64_t>(t) * tile;
     for (const CompiledOp* op : run) {
-      ApplyOpToBlock(*op, n, re, im, b0, b0 + block, lvl);
+      ApplyOpToTile(*op, n, re, im, b0, b0 + tile, lvl);
     }
   });
 }
 
-/// Per-op metric increments shared by the blocked and op-at-a-time replay
+/// Per-op metric increments shared by the tiled and op-at-a-time replay
 /// paths (mirrors the interpreter's tallies).
 void CountOp(const CompiledOp& op, long dim, CompiledCounters& counters) {
   switch (op.kind) {
@@ -892,6 +931,7 @@ CompiledCircuit CompiledCircuit::Compile(const Circuit& circuit,
     ops = FusePass(std::move(ops), circuit.num_qubits(), compiled.stats_);
     ops = DiagonalRunPass(std::move(ops), circuit.num_qubits(),
                           compiled.stats_);
+    OrderSingleQubitRuns(ops);
     compiled.stats_.product_prefix_ops = ProductPrefixLength(ops);
   }
   compiled.stats_.emitted_ops = ops.size();
@@ -918,6 +958,12 @@ CompiledCircuit CompiledCircuit::Compile(const Circuit& circuit,
 
 Status CompiledCircuit::Execute(StateVector& state,
                                 const DVector& params) const {
+  return ExecuteWithTileBits(state, params, kReplayTileBits);
+}
+
+Status CompiledCircuit::ExecuteWithTileBits(StateVector& state,
+                                            const DVector& params,
+                                            int tile_bits) const {
   if (state.num_qubits() != num_qubits_) {
     return Status::InvalidArgument(
         StrCat("state has ", state.num_qubits(),
@@ -927,6 +973,11 @@ Status CompiledCircuit::Execute(StateVector& state,
     return Status::InvalidArgument(
         StrCat("compiled circuit references ", num_parameters_,
                " parameters but only ", params.size(), " were bound"));
+  }
+  if (tile_bits < kWalshBlockBits) {
+    return Status::InvalidArgument(
+        StrCat("replay tiles need at least ", kWalshBlockBits, " bits, got ",
+               tile_bits));
   }
   QDB_TRACE_SCOPE("CompiledCircuit::Execute", "sim");
   CompiledCounters& counters = Counters();
@@ -961,24 +1012,25 @@ Status CompiledCircuit::Execute(StateVector& state,
     }
   }
 
-  // Cache blocking only pays off when the state exceeds a block; runs of
-  // ≥ 2 consecutive blockable ops are replayed block-at-a-time so the
-  // block's amplitudes stay L2-resident across the whole run.
-  const bool can_block = state.dim() > (uint64_t{1} << kCacheBlockBits);
+  // Tiles engage on states the pool splits anyway (smaller ones replay
+  // serially, op at a time) that hold at least two tiles; each run of ≥ 2
+  // consecutive tileable ops then costs one fork-join and one pass.
+  const bool can_tile = state.dim() >= kParallelAmplitudeThreshold &&
+                        num_qubits_ > tile_bits;
   std::vector<const CompiledOp*> run;
   size_t idx = 0;
   while (idx < resolved.size()) {
     const CompiledOp* op = resolved[idx];
-    if (can_block && IsBlockable(*op, num_qubits_)) {
+    if (can_tile && IsTileable(*op, num_qubits_, tile_bits)) {
       size_t end = idx;
       while (end < resolved.size() &&
-             IsBlockable(*resolved[end], num_qubits_)) {
+             IsTileable(*resolved[end], num_qubits_, tile_bits)) {
         ++end;
       }
       if (end - idx >= 2) {
         run.assign(resolved.begin() + static_cast<ptrdiff_t>(idx),
                    resolved.begin() + static_cast<ptrdiff_t>(end));
-        ExecuteBlockedRun(run, state);
+        ExecuteTiledRun(run, state, tile_bits);
         for (size_t i = idx; i < end; ++i) CountOp(*resolved[i], dim, counters);
         idx = end;
         continue;

@@ -22,23 +22,35 @@
 ///            diagonal ops, parametric RZ/RZZ/P/CP/CRZ included, into one
 ///            kDiagonalRun op: a single e^{iΦ} sweep whose phase function Φ
 ///            is carried as Walsh terms (sim/walsh.h) and re-expanded at
-///            bind time;
-///   replay — Execute() walks the flat op vector binding parameters, with
-///            no per-gate switch on GateType and no matrix reconstruction
-///            for constant gates.
+///            bind time.
+///            Fusion then orders each run of single-qubit ops by qubit so
+///            its low-bit ops sit next to the ops replay tiles with, and
+///            marks the program's leading single-qubit run as its product
+///            prefix;
+///   replay — Execute() binds parameters and replays by layer, not by gate:
+///            on |0…0⟩ the product prefix is one pass writing ⊗_q U_q|0⟩,
+///            and every run of consecutive ops whose operands sit below the
+///            replay tile boundary (kReplayTileBits) is applied tile by
+///            tile, one ThreadPool task per tile — one fork-join and one
+///            cache-resident pass per run. Other ops sweep the state alone.
 ///
 /// Determinism: lowering and fusion are sequential compile-time passes whose
-/// output depends only on the circuit, so the PR 2 guarantee holds — a
-/// compiled program produces bit-identical amplitudes at every QDB_THREADS
-/// setting and SIMD level. A kDiagonalRun adds its terms in a fixed order
-/// and evaluates Φ per fixed 2^kWalshBlockBits-index block with scalar code
-/// and scalar libm cos/sin, so it keeps that guarantee blocked or not. With
-/// fusion disabled, compiled execution issues exactly the kernel calls the
-/// interpreter would, with the same matrices in the same order, and is
-/// therefore bit-identical to interpreted execution; with fusion enabled
-/// the composed matrices differ from the sequential product only by
-/// floating-point round-off (~1e-15 per fused pair, and ~|Φ|·1e-16 for a
-/// diagonal run).
+/// output depends only on the circuit, and the tile size is fixed, so a
+/// compiled program produces bit-identical amplitudes at every
+/// QDB_THREADS setting and SIMD level. Tiled and op-at-a-time replay apply
+/// the same per-element arithmetic, so tiling never changes bits either. A
+/// kDiagonalRun adds its terms in a fixed order and evaluates Φ per fixed
+/// 2^kWalshBlockBits-index block with scalar code and scalar libm cos/sin;
+/// a product-state pass
+/// builds its factor tables serially and writes each amplitude as one
+/// complex product on every level. With fusion disabled, compiled execution
+/// issues exactly the kernel calls the interpreter would, with the same
+/// matrices in the same order, and is therefore bit-identical to
+/// interpreted execution (unfused programs have no product prefix and keep
+/// their op order). With fusion enabled the composed matrices differ from
+/// the sequential product only by floating-point round-off (~1e-15 per fused
+/// pair or reordered 1Q run, ~n·1e-16 for a product state, and ~|Φ|·1e-16
+/// for a diagonal run).
 
 #ifndef QDB_SIM_COMPILED_CIRCUIT_H_
 #define QDB_SIM_COMPILED_CIRCUIT_H_
@@ -74,6 +86,16 @@ class Counter;  // obs/metrics.h
 /// fused run wins at every measured width and lane count, so one constant
 /// serves every width.
 inline constexpr size_t kMinDiagonalRunOps = 32;
+
+/// log2 of the amplitudes in one replay tile. Replay applies each run of
+/// consecutive ops whose operands all sit below the tile boundary tile by
+/// tile, one ThreadPool task per tile, so the run costs one fork-join and
+/// one cache-resident pass over the state. BM_ReplayTileBits in
+/// bench/bench_simulator.cc sweeps 2^11–2^16 tiles at 14–20 qubits on 1, 2
+/// and 4 lanes (E1 in EXPERIMENTS.md): 2^12 amplitudes (64 KiB over both
+/// planes) is within noise of the best tile at every width, so the size
+/// does not depend on the width. Results are identical at every tile size.
+inline constexpr int kReplayTileBits = 12;
 
 struct CompileOptions {
   /// Run the fusion passes. Disable to get a program that replays the
@@ -163,6 +185,13 @@ class CompiledCircuit {
   /// Replays the program on `state`, binding `params` to the symbolic
   /// parameters. Fails if widths mismatch or too few parameters are bound.
   Status Execute(StateVector& state, const DVector& params = {}) const;
+
+  /// Execute with replay tiles of 2^tile_bits amplitudes instead of
+  /// 2^kReplayTileBits: the hook BM_ReplayTileBits sweeps to choose that
+  /// constant. Every tile size gives the same bits; fails below
+  /// kWalshBlockBits.
+  Status ExecuteWithTileBits(StateVector& state, const DVector& params,
+                             int tile_bits) const;
 
   int num_qubits() const { return num_qubits_; }
   int num_parameters() const { return num_parameters_; }

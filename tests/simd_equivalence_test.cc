@@ -1,9 +1,8 @@
 // Scalar-vs-AVX2 dispatch equivalence: every gate kernel, probability
-// reduction, and the cache-blocked compiled executor must produce
-// bit-identical amplitudes at every SIMD level and thread width, at sizes on
-// both sides of kParallelAmplitudeThreshold. The kernels are written to the
-// same-operations/same-order contract (sim/kernels.h); this test is the
-// enforcement.
+// reduction, and the tile-parallel compiled executor must produce
+// bit-identical results at every SIMD level and thread width, at sizes on both sides of kParallelAmplitudeThreshold. The kernels
+// are written to the same-operations/same-order contract (sim/kernels.h);
+// this test is the enforcement.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +18,7 @@
 #include "sim/simd.h"
 #include "sim/state_vector.h"
 #include "sim/statevector_simulator.h"
+#include "sim/walsh.h"
 
 namespace qdb {
 namespace {
@@ -213,11 +213,13 @@ Circuit BrickCircuit(int n, int layers) {
 
 TEST(CacheBlockedExecutionTest, BlockedReplayMatchesInterpreterBitwise) {
   DispatchGuard guard;
-  // 17 qubits: dim = 2^17 > the 2^16-amplitude block, so compiled replay
-  // runs the blocked path while the interpreter applies ops one at a time
-  // over the full state. Without fusion both execute the identical op list,
-  // so amplitudes must match bit for bit — at every dispatch config.
+  // 17 qubits: the state holds 2^(17 - kReplayTileBits) replay tiles, so
+  // compiled replay runs its tiled path while the interpreter applies ops
+  // one at a time over the full state. Without fusion both execute the
+  // identical op list, so amplitudes must match bit for bit — at every
+  // dispatch config.
   const int n = 17;
+  ASSERT_LT(kReplayTileBits, n);
   const Circuit circuit = BrickCircuit(n, 2);
 
   StateVectorSimulator interpreter;
@@ -241,6 +243,85 @@ TEST(CacheBlockedExecutionTest, BlockedReplayMatchesInterpreterBitwise) {
         std::string("blocked ") + simd::SimdLevelName(config.level) + "/t" +
         std::to_string(config.threads);
     ExpectBitIdentical(interpreted, blocked, what.c_str());
+  }
+}
+
+/// The H layer, `cost_gates` parametric RZ/RZZ gates on seeded operands
+/// (one kDiagonalRun once fused) and the RX mixer: a p=1 QAOA program.
+Circuit QaoaShapedCircuit(int n, int cost_gates) {
+  Rng rng(static_cast<uint64_t>(n));
+  Circuit c(n);
+  for (int q = 0; q < n; ++q) c.H(q);
+  for (int k = 0; k < cost_gates; ++k) {
+    const int a = static_cast<int>(rng.UniformInt(uint64_t(n)));
+    const int b = (a + 1 + static_cast<int>(rng.UniformInt(uint64_t(n - 1)))) % n;
+    const double scale = rng.Uniform(-2.0, 2.0);
+    if (k % 4 == 0) {
+      c.RZ(a, ParamExpr::Affine(0, scale, 0.0));
+    } else {
+      c.RZZ(a, b, ParamExpr::Affine(0, scale, 0.0));
+    }
+  }
+  for (int q = 0; q < n; ++q) c.RX(q, ParamExpr::Affine(1, 2.0, 0.0));
+  return c;
+}
+
+TEST(CacheBlockedExecutionTest, TiledReplayMatchesOpAtATimeBitwise) {
+  DispatchGuard guard;
+  // Tile runs must give the bits of op-at-a-time replay (tiles as wide as
+  // the state never engage) at every tile size, on programs that start with
+  // a product prefix, carry a diagonal run and end in a 1Q layer, and on
+  // brick circuits with fused 2Q ops on low and high qubits.
+  ThreadPool::SetGlobalThreads(4);
+  for (const int n : {14, 15, 16}) {
+    for (const Circuit& circuit : {QaoaShapedCircuit(n, 60), BrickCircuit(n, 2)}) {
+      const CompiledCircuit program = CompiledCircuit::Compile(circuit);
+      const DVector params = {0.37, -1.1};
+      StateVector op_at_a_time(n);
+      ASSERT_TRUE(program.ExecuteWithTileBits(op_at_a_time, params, n).ok());
+      for (int tile_bits = kWalshBlockBits; tile_bits < n; ++tile_bits) {
+        StateVector tiled(n);
+        ASSERT_TRUE(program.ExecuteWithTileBits(tiled, params, tile_bits).ok());
+        const std::string what = "n=" + std::to_string(n) +
+                                 " tile_bits=" + std::to_string(tile_bits);
+        ExpectBitIdentical(op_at_a_time, tiled, what.c_str());
+      }
+      StateVector by_default(n);
+      ASSERT_TRUE(program.Execute(by_default, params).ok());
+      ExpectBitIdentical(op_at_a_time, by_default, "default tiles");
+    }
+  }
+  StateVector state(14);
+  EXPECT_FALSE(CompiledCircuit::Compile(QaoaShapedCircuit(14, 60))
+                   .ExecuteWithTileBits(state, {0.1, 0.2}, kWalshBlockBits - 1)
+                   .ok());
+}
+
+TEST(CacheBlockedExecutionTest, QaoaProgramBitIdenticalAcrossDispatch) {
+  DispatchGuard guard;
+  // A 16-qubit p=1 QAOA energy program — product prefix, diagonal run,
+  // tiled RX layer — gives the same bits at every SIMD level and pool width.
+  const int n = 16;
+  const CompiledCircuit program =
+      CompiledCircuit::Compile(QaoaShapedCircuit(n, 136));
+  ASSERT_EQ(program.stats().diagonal_runs, 1u);
+  ASSERT_EQ(program.product_prefix_ops(), static_cast<size_t>(n));
+  const DVector params = {0.45, 1.3};
+  ASSERT_TRUE(simd::SetActiveSimdLevel(simd::SimdLevel::kScalar));
+  ThreadPool::SetGlobalThreads(1);
+  StateVector baseline(n);
+  ASSERT_TRUE(program.Execute(baseline, params).ok());
+  std::vector<Config> configs = ComparisonConfigs();
+  configs.push_back({simd::SimdLevel::kScalar, 2});
+  for (const Config& config : configs) {
+    ASSERT_TRUE(simd::SetActiveSimdLevel(config.level));
+    ThreadPool::SetGlobalThreads(config.threads);
+    StateVector other(n);
+    ASSERT_TRUE(program.Execute(other, params).ok());
+    const std::string what = std::string("qaoa ") +
+                             simd::SimdLevelName(config.level) + "/t" +
+                             std::to_string(config.threads);
+    ExpectBitIdentical(baseline, other, what.c_str());
   }
 }
 
