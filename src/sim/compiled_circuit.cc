@@ -824,7 +824,7 @@ void ApplyOpToTile(const CompiledOp& op, int num_qubits, double* re,
       break;
     }
     case CompiledOpKind::kDiagonalRun:
-      ApplyWalshPhaseRange(op.walsh, re, im, b0, b1);
+      ApplyWalshPhaseRange(lvl, op.walsh, re, im, b0, b1);
       break;
     case CompiledOpKind::kProductState:
       ApplyProductStateRange(op, num_qubits, re, im, b0, b1, lvl);

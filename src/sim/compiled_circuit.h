@@ -40,8 +40,8 @@
 /// QDB_THREADS setting and SIMD level. Tiled and op-at-a-time replay apply
 /// the same per-element arithmetic, so tiling never changes bits either. A
 /// kDiagonalRun adds its terms in a fixed order and evaluates Φ per fixed
-/// 2^kWalshBlockBits-index block with scalar code and scalar libm cos/sin;
-/// a product-state pass
+/// 2^kWalshBlockBits-index block with scalar code and simd::SinCosRange,
+/// whose scalar and AVX2 paths agree bit for bit; a product-state pass
 /// builds its factor tables serially and writes each amplitude as one
 /// complex product on every level. With fusion disabled, compiled execution
 /// issues exactly the kernel calls the interpreter would, with the same

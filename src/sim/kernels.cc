@@ -7,6 +7,9 @@
 
 #include "sim/kernels.h"
 
+#include <cmath>
+#include <cstring>
+
 namespace qdb {
 namespace simd {
 
@@ -165,6 +168,38 @@ void ProductStateRangeScalar(double* re, double* im, uint64_t b, uint64_t e,
   }
 }
 
+void SinCosRangeScalar(const double* x, double* sn, double* cs,
+                       uint64_t count) {
+  using namespace sincos;
+  for (uint64_t i = 0; i < count; ++i) {
+    const double xi = x[i];
+    if (!(std::fabs(xi) <= kMaxArg)) {  // Also NaN.
+      sn[i] = std::sin(xi);
+      cs[i] = std::cos(xi);
+      continue;
+    }
+    const double t = xi * kInvPio2 + kRound;
+    const double k = t - kRound;
+    uint64_t quadrant;
+    std::memcpy(&quadrant, &t, sizeof(quadrant));  // Low bits: k mod 4.
+    const double r = ((xi - k * kPio2Hi) - k * kPio2Mid) - k * kPio2Lo;
+    const double z = r * r;
+    const double ps = kS2 + z * (kS3 + z * (kS4 + z * (kS5 + z * kS6)));
+    const double s = r + (z * r) * (kS1 + z * ps);
+    const double w = z * z;
+    const double pc = z * (kC1 + z * (kC2 + z * kC3)) +
+                      w * w * (kC4 + z * (kC5 + z * kC6));
+    const double hz = 0.5 * z;
+    const double one_minus = 1.0 - hz;
+    const double c = one_minus + (((1.0 - one_minus) - hz) + z * pc);
+    // Quadrant q: (sin, cos) = (s, c), (c, −s), (−s, −c), (−c, s).
+    const double sv = (quadrant & 1) ? c : s;
+    const double cv = (quadrant & 1) ? s : c;
+    sn[i] = (quadrant & 2) ? -sv : sv;
+    cs[i] = ((quadrant + 1) & 2) ? -cv : cv;
+  }
+}
+
 // ---- Dispatchers ------------------------------------------------------------
 
 void Apply1QRange(SimdLevel level, double* re, double* im, uint64_t pb,
@@ -265,6 +300,15 @@ void ProductStateRange(SimdLevel level, double* re, double* im, uint64_t b,
   } else {
     ProductStateRangeScalar(re, im, b, e, high_re, high_im, low_re, low_im,
                             low_bits);
+  }
+}
+
+void SinCosRange(SimdLevel level, const double* x, double* sn, double* cs,
+                 uint64_t count) {
+  if (level == SimdLevel::kAvx2) {
+    SinCosRangeAvx2(x, sn, cs, count);
+  } else {
+    SinCosRangeScalar(x, sn, cs, count);
   }
 }
 

@@ -91,6 +91,46 @@ void ProductStateRange(SimdLevel level, double* re, double* im, uint64_t b,
                        const double* high_im, const double* low_re,
                        const double* low_im, int low_bits);
 
+// ---- Deterministic sin/cos ---------------------------------------------------
+
+/// Constants of SinCosRange, shared by its scalar and AVX2 implementations.
+/// Reduction: k = round(x · 2/π) by the 1.5·2^52 rounding trick, then
+/// r = ((x − k·kPio2Hi) − k·kPio2Mid) − k·kPio2Lo, with π/2 split so that
+/// kPio2Hi and kPio2Mid carry 33 significant bits each: for |k| < 2^20 the
+/// products k·kPio2Hi and k·kPio2Mid are exact and x − k·kPio2Hi is exact by
+/// Sterbenz, so r is within an ulp of x − k·π/2. The polynomials are the
+/// fdlibm minimax kernels for sin and cos on [−π/4, π/4].
+namespace sincos {
+inline constexpr double kMaxArg = 1e6;  ///< |x| ≤ 1e6 ⇒ |k| < 2^20.
+inline constexpr double kInvPio2 = 6.36619772367581382433e-01;
+inline constexpr double kRound = 6755399441055744.0;  // 1.5 · 2^52
+inline constexpr double kPio2Hi = 1.57079632673412561417e+00;
+inline constexpr double kPio2Mid = 6.07710050630396597660e-11;
+inline constexpr double kPio2Lo = 2.02226624879595063154e-21;
+inline constexpr double kS1 = -1.66666666666666324348e-01;
+inline constexpr double kS2 = 8.33333333332248946124e-03;
+inline constexpr double kS3 = -1.98412698298579493134e-04;
+inline constexpr double kS4 = 2.75573137070700676789e-06;
+inline constexpr double kS5 = -2.50507602534068634195e-08;
+inline constexpr double kS6 = 1.58969099521155010221e-10;
+inline constexpr double kC1 = 4.16666666666666019037e-02;
+inline constexpr double kC2 = -1.38888888888741095749e-03;
+inline constexpr double kC3 = 2.48015872894767294178e-05;
+inline constexpr double kC4 = -2.75573143513906633035e-07;
+inline constexpr double kC5 = 2.08757232129817482790e-09;
+inline constexpr double kC6 = -1.13596475577881948265e-11;
+}  // namespace sincos
+
+/// sn[i] = sin(x[i]) and cs[i] = cos(x[i]) for i in [0, count). Where
+/// |x[i]| ≤ sincos::kMaxArg: Cody–Waite reduction to r ∈ [−π/4, π/4] plus a
+/// quadrant, fixed Horner polynomials in r, and a quadrant swap/negation —
+/// the same operations in the same order on both levels, so scalar and AVX2
+/// agree bit for bit. Elsewhere (|x| beyond the bound, NaN, ±Inf) both
+/// levels call libm. Absolute error against libm stays near 1e-16 over the
+/// reduced range (bounded in tests/simd_equivalence_test.cc).
+void SinCosRange(SimdLevel level, const double* x, double* sn, double* cs,
+                 uint64_t count);
+
 // ---- Probability / norm reductions -----------------------------------------
 
 /// out[i] = re[i]^2 + im[i]^2 for i in [b, e).
@@ -146,6 +186,8 @@ void ProductStateRangeScalar(double* re, double* im, uint64_t b, uint64_t e,
                              const double* high_re, const double* high_im,
                              const double* low_re, const double* low_im,
                              int low_bits);
+void SinCosRangeScalar(const double* x, double* sn, double* cs,
+                       uint64_t count);
 
 void Apply1QRangeAvx2(double* re, double* im, uint64_t pb, uint64_t pe,
                       uint64_t stride, const double* m);
@@ -173,6 +215,7 @@ void ProductStateRangeAvx2(double* re, double* im, uint64_t b, uint64_t e,
                            const double* high_re, const double* high_im,
                            const double* low_re, const double* low_im,
                            int low_bits);
+void SinCosRangeAvx2(const double* x, double* sn, double* cs, uint64_t count);
 
 }  // namespace simd
 }  // namespace qdb

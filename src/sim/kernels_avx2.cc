@@ -394,6 +394,75 @@ QDB_AVX2 void ProductStateRangeAvx2(double* re, double* im, uint64_t b,
   }
 }
 
+QDB_AVX2 void SinCosRangeAvx2(const double* x, double* sn, double* cs,
+                               uint64_t count) {
+  using namespace sincos;
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d max_arg = _mm256_set1_pd(kMaxArg);
+  const __m256d inv_pio2 = _mm256_set1_pd(kInvPio2);
+  const __m256d round = _mm256_set1_pd(kRound);
+  const __m256d pio2_hi = _mm256_set1_pd(kPio2Hi);
+  const __m256d pio2_mid = _mm256_set1_pd(kPio2Mid);
+  const __m256d pio2_lo = _mm256_set1_pd(kPio2Lo);
+  const __m256d half = _mm256_set1_pd(0.5);
+  const __m256d one = _mm256_set1_pd(1.0);
+  uint64_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    const __m256d xv = _mm256_loadu_pd(x + i);
+    const __m256d in_range =
+        _mm256_cmp_pd(_mm256_andnot_pd(sign, xv), max_arg, _CMP_LE_OQ);
+    if (_mm256_movemask_pd(in_range) != 0xF) {
+      // A lane beyond the reduction's range (or NaN): the scalar path gives
+      // every lane its exact scalar bits, libm where out of range.
+      SinCosRangeScalar(x + i, sn + i, cs + i, 4);
+      continue;
+    }
+    const __m256d t = _mm256_add_pd(_mm256_mul_pd(xv, inv_pio2), round);
+    const __m256d k = _mm256_sub_pd(t, round);
+    const __m256d r = _mm256_sub_pd(
+        _mm256_sub_pd(_mm256_sub_pd(xv, _mm256_mul_pd(k, pio2_hi)),
+                      _mm256_mul_pd(k, pio2_mid)),
+        _mm256_mul_pd(k, pio2_lo));
+    const __m256d z = _mm256_mul_pd(r, r);
+    // ps = S2 + z*(S3 + z*(S4 + z*(S5 + z*S6)))
+    __m256d ps = _mm256_add_pd(_mm256_set1_pd(kS5), _mm256_mul_pd(z, _mm256_set1_pd(kS6)));
+    ps = _mm256_add_pd(_mm256_set1_pd(kS4), _mm256_mul_pd(z, ps));
+    ps = _mm256_add_pd(_mm256_set1_pd(kS3), _mm256_mul_pd(z, ps));
+    ps = _mm256_add_pd(_mm256_set1_pd(kS2), _mm256_mul_pd(z, ps));
+    const __m256d s = _mm256_add_pd(
+        r, _mm256_mul_pd(_mm256_mul_pd(z, r),
+                         _mm256_add_pd(_mm256_set1_pd(kS1), _mm256_mul_pd(z, ps))));
+    // pc = z*(C1 + z*(C2 + z*C3)) + w*w*(C4 + z*(C5 + z*C6)), w = z*z
+    const __m256d w = _mm256_mul_pd(z, z);
+    __m256d lo = _mm256_add_pd(_mm256_set1_pd(kC2), _mm256_mul_pd(z, _mm256_set1_pd(kC3)));
+    lo = _mm256_mul_pd(z, _mm256_add_pd(_mm256_set1_pd(kC1), _mm256_mul_pd(z, lo)));
+    __m256d hi = _mm256_add_pd(_mm256_set1_pd(kC5), _mm256_mul_pd(z, _mm256_set1_pd(kC6)));
+    hi = _mm256_mul_pd(_mm256_mul_pd(w, w),
+                       _mm256_add_pd(_mm256_set1_pd(kC4), _mm256_mul_pd(z, hi)));
+    const __m256d pc = _mm256_add_pd(lo, hi);
+    const __m256d hz = _mm256_mul_pd(half, z);
+    const __m256d one_minus = _mm256_sub_pd(one, hz);
+    const __m256d cv0 = _mm256_add_pd(
+        one_minus,
+        _mm256_add_pd(_mm256_sub_pd(_mm256_sub_pd(one, one_minus), hz),
+                      _mm256_mul_pd(z, pc)));
+    // Quadrant bits of t's mantissa: bit 0 swaps sin and cos, bit 1 negates
+    // sin, bit 1 of q + 1 negates cos.
+    const __m256i q = _mm256_castpd_si256(t);
+    const __m256d swap = _mm256_castsi256_pd(_mm256_slli_epi64(q, 63));
+    const __m256d neg_s =
+        _mm256_and_pd(sign, _mm256_castsi256_pd(_mm256_slli_epi64(q, 62)));
+    const __m256d neg_c = _mm256_and_pd(
+        sign, _mm256_castsi256_pd(_mm256_slli_epi64(
+                  _mm256_add_epi64(q, _mm256_set1_epi64x(1)), 62)));
+    const __m256d sv = _mm256_blendv_pd(s, cv0, swap);
+    const __m256d cv = _mm256_blendv_pd(cv0, s, swap);
+    _mm256_storeu_pd(sn + i, _mm256_xor_pd(sv, neg_s));
+    _mm256_storeu_pd(cs + i, _mm256_xor_pd(cv, neg_c));
+  }
+  SinCosRangeScalar(x + i, sn + i, cs + i, count - i);
+}
+
 }  // namespace simd
 }  // namespace qdb
 
@@ -450,6 +519,9 @@ void ProductStateRangeAvx2(double* re, double* im, uint64_t b, uint64_t e,
                            int low_bits) {
   ProductStateRangeScalar(re, im, b, e, high_re, high_im, low_re, low_im,
                           low_bits);
+}
+void SinCosRangeAvx2(const double* x, double* sn, double* cs, uint64_t count) {
+  SinCosRangeScalar(x, sn, cs, count);
 }
 
 }  // namespace simd

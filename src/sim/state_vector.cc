@@ -291,8 +291,9 @@ void StateVector::ApplySwap(int a, int b) {
 void StateVector::ApplyWalshPhase(const std::vector<WalshTerm>& phase) {
   // Pool chunks are whole Walsh blocks, and each block's phases depend only
   // on its own indices, so the split never changes results.
+  const simd::SimdLevel lvl = simd::ActiveSimdLevel();
   ForKernelRange(dim(), dim(), [&](uint64_t b, uint64_t e) {
-    ApplyWalshPhaseRange(phase, re_.data(), im_.data(), b, e);
+    ApplyWalshPhaseRange(lvl, phase, re_.data(), im_.data(), b, e);
   });
 }
 

@@ -1,7 +1,8 @@
 #include "sim/walsh.h"
 
 #include <algorithm>
-#include <cmath>
+
+#include "sim/kernels.h"
 
 namespace qdb {
 
@@ -62,17 +63,15 @@ void FastWalshHadamard(double* table, int bits) {
   }
 }
 
-void ApplyWalshPhaseRange(const std::vector<WalshTerm>& phase, double* re,
+void ApplyWalshPhaseRange(simd::SimdLevel level,
+                          const std::vector<WalshTerm>& phase, double* re,
                           double* im, uint64_t begin, uint64_t end) {
   const int bits = TableBits(phase);
   const uint64_t period = uint64_t{1} << bits;
   double phi[kBlock], cs[kBlock], sn[kBlock];
   for (uint64_t base = begin; base < end; base += kBlock) {
     EvaluateBlock(phase, base, bits, phi);
-    for (uint64_t l = 0; l < period; ++l) {
-      cs[l] = std::cos(phi[l]);
-      sn[l] = std::sin(phi[l]);
-    }
+    simd::SinCosRange(level, phi, sn, cs, period);
     const uint64_t stop = std::min(end, base + kBlock);
     for (uint64_t i = base; i < stop; ++i) {
       const uint64_t l = (i - base) & (period - 1);

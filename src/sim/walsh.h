@@ -19,15 +19,19 @@
 /// over its low bits and transforms that table (or, with fewer terms than
 /// table bits, sums the terms over the table directly). Block boundaries, fill order
 /// and butterfly order depend only on the terms and the indices, so every
-/// sweep is bit-identical at any thread count. The code is scalar, uses only
-/// scalar libm and is built without FP contraction, so it is also identical
-/// at every SIMD dispatch level.
+/// sweep is bit-identical at any thread count. The tables and transforms are
+/// scalar code built without FP contraction, and phase sweeps take their
+/// sin/cos from simd::SinCosRange (sim/kernels.h), whose scalar and AVX2
+/// paths perform the same operations in the same order; so every sweep is
+/// also identical at every SIMD dispatch level.
 
 #ifndef QDB_SIM_WALSH_H_
 #define QDB_SIM_WALSH_H_
 
 #include <cstdint>
 #include <vector>
+
+#include "sim/simd.h"
 
 namespace qdb {
 
@@ -48,8 +52,11 @@ void FastWalshHadamard(double* table, int bits);
 
 /// Multiplies amplitude i of the (re, im) planes by e^{iΦ(i)} for every i in
 /// [begin, end), with Φ = Σ `phase`. `begin` is a multiple of
-/// 2^kWalshBlockBits; `end` is too unless it is the end of the state.
-void ApplyWalshPhaseRange(const std::vector<WalshTerm>& phase, double* re,
+/// 2^kWalshBlockBits; `end` is too unless it is the end of the state. The
+/// phases' sin/cos come from simd::SinCosRange at `level`, which gives the
+/// same bits at every level.
+void ApplyWalshPhaseRange(simd::SimdLevel level,
+                          const std::vector<WalshTerm>& phase, double* re,
                           double* im, uint64_t begin, uint64_t end);
 
 /// Σ_{i ∈ [begin, end)} Re(conj(a[i ^ xmask]) · a[i] · W(i)) over the (re, im)

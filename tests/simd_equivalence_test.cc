@@ -1,12 +1,16 @@
 // Scalar-vs-AVX2 dispatch equivalence: every gate kernel, probability
-// reduction, and the tile-parallel compiled executor must produce
-// bit-identical results at every SIMD level and thread width, at sizes on both sides of kParallelAmplitudeThreshold. The kernels
+// reduction, the deterministic sin/cos, and the tile-parallel compiled
+// executor must produce bit-identical results at every SIMD level and thread
+// width, at sizes on both sides of kParallelAmplitudeThreshold. The kernels
 // are written to the same-operations/same-order contract (sim/kernels.h);
 // this test is the enforcement.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -15,6 +19,7 @@
 #include "linalg/random_unitary.h"
 #include "random_pauli_sum.h"
 #include "sim/compiled_circuit.h"
+#include "sim/kernels.h"
 #include "sim/simd.h"
 #include "sim/state_vector.h"
 #include "sim/statevector_simulator.h"
@@ -195,6 +200,79 @@ TEST_P(SimdEquivalenceTest, PauliSumExpectationBitIdenticalAcrossDispatch) {
 INSTANTIATE_TEST_SUITE_P(BelowAndAboveParallelThreshold, SimdEquivalenceTest,
                          ::testing::Values(13, 15));
 
+/// Phases a sweep of SinCosRange feeds through: a dense grid over [−lim, lim]
+/// plus the values where reduction is hardest — near multiples of π/4 and
+/// π/2, at the ends of the reduced range, and tiny arguments.
+std::vector<double> SinCosInputs(double lim, size_t count) {
+  std::vector<double> x;
+  x.reserve(count + 64);
+  for (size_t i = 0; i < count; ++i) {
+    x.push_back(-lim + 2.0 * lim * (static_cast<double>(i) + 0.5) / count);
+  }
+  for (int k = -8; k <= 8; ++k) {
+    const double base = k * M_PI / 4;
+    for (double d : {0.0, 1e-12, -1e-12, 1e-17}) x.push_back(base + d);
+  }
+  for (double v : {0.0, -0.0, 1e-300, -1e-300, 4.9e-324, 1e6, -1e6,
+                   std::nextafter(1e6, 0.0), 355.0, 103993.0}) {
+    x.push_back(v);
+  }
+  return x;
+}
+
+TEST(SinCosRangeTest, ErrorAgainstLibmIsBounded) {
+  // Dense sweeps at growing magnitude up to the reduction's bound. The
+  // fdlibm kernels are faithful on [−π/4, π/4] and the three-part
+  // Cody–Waite reduction loses under an ulp of r, so the result stays
+  // within ~1 ulp of 1 of libm's.
+  for (double lim : {1.0, 10.0, 1e3, 1e6}) {
+    const std::vector<double> x = SinCosInputs(lim, 1 << 18);
+    std::vector<double> sn(x.size()), cs(x.size());
+    simd::SinCosRangeScalar(x.data(), sn.data(), cs.data(), x.size());
+    double worst = 0.0;
+    for (size_t i = 0; i < x.size(); ++i) {
+      worst = std::max(worst, std::abs(sn[i] - std::sin(x[i])));
+      worst = std::max(worst, std::abs(cs[i] - std::cos(x[i])));
+    }
+    EXPECT_LE(worst, 2.5e-16) << "|x| <= " << lim;
+  }
+}
+
+TEST(SinCosRangeTest, ScalarAndAvx2AgreeBitwiseIncludingFallback) {
+  DispatchGuard guard;
+  if (!simd::CpuSupportsAvx2()) GTEST_SKIP() << "no AVX2 on this CPU";
+  // In-range values, values past kMaxArg (libm on both levels), NaN and
+  // ±Inf, interleaved so vectors mix in- and out-of-range lanes, at a
+  // length that leaves a scalar tail.
+  std::vector<double> x = SinCosInputs(2e6, (1 << 20) + 3);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double v : {std::nan(""), inf, -inf, 1e300, -3e7}) {
+    x.insert(x.begin() + 5, v);
+    x.push_back(v);
+  }
+  std::vector<double> s_scalar(x.size()), c_scalar(x.size());
+  std::vector<double> s_avx2(x.size()), c_avx2(x.size());
+  simd::SinCosRange(simd::SimdLevel::kScalar, x.data(), s_scalar.data(),
+                    c_scalar.data(), x.size());
+  simd::SinCosRange(simd::SimdLevel::kAvx2, x.data(), s_avx2.data(),
+                    c_avx2.data(), x.size());
+  size_t fallback = 0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&s_scalar[i], &s_avx2[i], sizeof(double)), 0)
+        << "sin(" << x[i] << ")";
+    ASSERT_EQ(std::memcmp(&c_scalar[i], &c_avx2[i], sizeof(double)), 0)
+        << "cos(" << x[i] << ")";
+    if (!(std::abs(x[i]) <= simd::sincos::kMaxArg)) {
+      ++fallback;
+      // Beyond the bound both levels are libm's.
+      const double s = std::sin(x[i]), c = std::cos(x[i]);
+      ASSERT_EQ(std::memcmp(&s_scalar[i], &s, sizeof(double)), 0);
+      ASSERT_EQ(std::memcmp(&c_scalar[i], &c, sizeof(double)), 0);
+    }
+  }
+  EXPECT_GT(fallback, x.size() / 4);
+}
+
 /// A dense brick-pattern circuit whose lowered ops include long blockable
 /// runs plus MSB-operand barriers, mirroring the benchmark workload.
 Circuit BrickCircuit(int n, int layers) {
@@ -299,8 +377,9 @@ TEST(CacheBlockedExecutionTest, TiledReplayMatchesOpAtATimeBitwise) {
 
 TEST(CacheBlockedExecutionTest, QaoaProgramBitIdenticalAcrossDispatch) {
   DispatchGuard guard;
-  // A 16-qubit p=1 QAOA energy program — product prefix, diagonal run,
-  // tiled RX layer — gives the same bits at every SIMD level and pool width.
+  // A 16-qubit p=1 QAOA energy program — product prefix, diagonal run with
+  // vector sin/cos, tiled RX layer — gives the same bits at every SIMD level
+  // and pool width.
   const int n = 16;
   const CompiledCircuit program =
       CompiledCircuit::Compile(QaoaShapedCircuit(n, 136));
