@@ -52,7 +52,8 @@ std::mutex& GlobalMu() {
 
 /// Shared state of one blocking fan-out: every enqueued copy (and the
 /// caller) runs `drain`, which claims work items off an atomic cursor until
-/// none remain; the caller then waits for all copies to retire.
+/// none remain; the caller then retracts the copies no worker popped and
+/// waits for the popped ones to retire.
 struct ThreadPool::Op {
   std::function<void()> drain;
   /// The submitter's ambient trace context, re-installed in each worker so
@@ -60,7 +61,7 @@ struct ThreadPool::Op {
   obs::RequestContext context;
   std::mutex mu;
   std::condition_variable done_cv;
-  int pending = 0;  ///< Enqueued copies not yet finished (guarded by mu).
+  int pending = 0;  ///< Queued or running copies (guarded by mu).
 };
 
 ThreadPool::ThreadPool(int num_threads) {
@@ -168,22 +169,7 @@ void ThreadPool::ParallelForChunks(
     return;
   }
   QDB_TRACE_SCOPE("ThreadPool::ParallelFor", "pool");
-  Counters().parallel_ops->Increment();
-  auto next = std::make_shared<std::atomic<uint64_t>>(0);
-  auto op = std::make_shared<Op>();
-  op->context = obs::CurrentContext();  // Captured inside the span above.
-  op->drain = [next, num_chunks, &run_chunk] {
-    uint64_t ci;
-    while ((ci = next->fetch_add(1, std::memory_order_relaxed)) < num_chunks) {
-      run_chunk(ci);
-    }
-  };
-  const int helpers = static_cast<int>(
-      std::min<uint64_t>(workers_.size(), num_chunks - 1));
-  Enqueue(helpers, op);
-  op->drain();  // The caller is a full lane, not just a waiter.
-  std::unique_lock<std::mutex> lock(op->mu);
-  op->done_cv.wait(lock, [&] { return op->pending == 0; });
+  FanOut(static_cast<size_t>(num_chunks), run_chunk);
 }
 
 void ThreadPool::ParallelFor(
@@ -201,21 +187,42 @@ void ThreadPool::RunTasks(size_t count,
     return;
   }
   QDB_TRACE_SCOPE("ThreadPool::RunTasks", "pool");
+  FanOut(count, task);
+}
+
+void ThreadPool::FanOut(size_t count, const std::function<void(size_t)>& item) {
   Counters().parallel_ops->Increment();
   auto next = std::make_shared<std::atomic<size_t>>(0);
   auto op = std::make_shared<Op>();
-  op->context = obs::CurrentContext();  // Captured inside the span above.
-  op->drain = [next, count, &task] {
+  op->context = obs::CurrentContext();  // Captured inside the caller's span.
+  op->drain = [next, count, &item] {
     size_t i;
     while ((i = next->fetch_add(1, std::memory_order_relaxed)) < count) {
-      task(i);
+      item(i);
     }
   };
-  const int helpers =
-      static_cast<int>(std::min(workers_.size(), count - 1));
+  const int helpers = static_cast<int>(std::min(workers_.size(), count - 1));
   Enqueue(helpers, op);
-  op->drain();
+  op->drain();  // The caller is a full lane, not just a waiter.
+  // Every item is claimed. Copies still queued can only find the cursor
+  // spent, so take them back instead of waiting for a lane to wake for
+  // them; wait only for copies a worker already popped (they may be running
+  // an item).
+  int retracted = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto it = queue_.begin(); it != queue_.end();) {
+      if (*it == op) {
+        it = queue_.erase(it);
+        ++retracted;
+      } else {
+        ++it;
+      }
+    }
+    Counters().queue_depth->Set(static_cast<double>(queue_.size()));
+  }
   std::unique_lock<std::mutex> lock(op->mu);
+  op->pending -= retracted;
   op->done_cv.wait(lock, [&] { return op->pending == 0; });
 }
 

@@ -65,6 +65,9 @@ class ThreadPool {
   /// Runs `body(chunk_index, chunk_begin, chunk_end)` over [begin, end)
   /// split into ChunkSize-wide chunks. Chunks are claimed dynamically by the
   /// caller and up to size()-1 workers; blocks until all chunks finished.
+  /// Once the caller finds every chunk claimed it takes back the helper
+  /// copies no worker has picked up, so it never waits on an idle or busy
+  /// worker that holds no chunk.
   /// `body` must not throw, and distinct chunks must touch disjoint data
   /// (or only perform atomic updates).
   void ParallelForChunks(
@@ -76,8 +79,9 @@ class ThreadPool {
                    const std::function<void(uint64_t, uint64_t)>& body);
 
   /// Runs `task(i)` for each i in [0, count) with dynamic assignment across
-  /// the caller and workers; blocks until all tasks finished. Intended for
-  /// coarse tasks (whole circuit executions), not per-element loops.
+  /// the caller and workers; blocks until all tasks finished (retracting
+  /// unclaimed helper copies as ParallelForChunks does). Intended for coarse
+  /// tasks (whole circuit executions, replay tiles), not per-element loops.
   void RunTasks(size_t count, const std::function<void(size_t)>& task);
 
   /// Fan-out ops currently queued and not yet claimed by a lane — a backlog
@@ -90,6 +94,9 @@ class ThreadPool {
 
   void WorkerLoop();
   void Enqueue(int copies, const std::shared_ptr<Op>& op);
+  /// Runs item(i) for i in [0, count) on the caller and up to count - 1
+  /// helper copies, then retracts unclaimed copies and waits for the rest.
+  void FanOut(size_t count, const std::function<void(size_t)>& item);
 
   std::vector<std::thread> workers_;
   mutable std::mutex mu_;

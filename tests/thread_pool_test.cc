@@ -1,12 +1,18 @@
 // Tests for the shared worker pool: coverage, determinism of the chunked
-// reduction, nested-call safety, and the global-pool configuration hooks.
+// reduction, nested-call safety, retraction of unclaimed helper copies, and
+// the global-pool configuration hooks.
 
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <future>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 namespace qdb {
@@ -112,6 +118,52 @@ TEST(ThreadPoolTest, NestedParallelCallsRunInlineWithoutDeadlock) {
   });
   const uint64_t expect = inner * (inner - 1) / 2;
   for (size_t t = 0; t < outer; ++t) EXPECT_EQ(sums[t], expect);
+}
+
+TEST(ThreadPoolTest, CallerReturnsWhileTheOnlyWorkerIsBusy) {
+  // A two-lane pool whose one worker is stuck inside another thread's
+  // RunTasks. A ParallelFor from this thread enqueues a helper copy that
+  // worker cannot pick up; the caller drains every chunk itself and must
+  // then take the copy back and return, not wait for the worker.
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  int entered = 0;
+  bool release = false;
+  std::thread blocker([&] {
+    pool.RunTasks(2, [&](size_t) {
+      std::unique_lock<std::mutex> lock(mu);
+      ++entered;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+    });
+  });
+  {
+    // Both lanes of the blocker's op — its caller and the worker — hold a
+    // task, so the worker is busy until released.
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return entered == 2; });
+  }
+  std::atomic<uint64_t> sum{0};
+  std::future<void> done = std::async(std::launch::async, [&] {
+    pool.ParallelFor(0, 1 << 16, [&](uint64_t b, uint64_t e) {
+      uint64_t part = 0;
+      for (uint64_t i = b; i < e; ++i) part += i;
+      sum.fetch_add(part, std::memory_order_relaxed);
+    });
+  });
+  const bool returned =
+      done.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  blocker.join();
+  done.wait();
+  EXPECT_TRUE(returned) << "ParallelFor waited for the busy worker";
+  EXPECT_EQ(sum.load(), (uint64_t{1} << 16) * ((uint64_t{1} << 16) - 1) / 2);
+  EXPECT_EQ(pool.PendingOps(), 0u);
 }
 
 TEST(ThreadPoolTest, InWorkerFalseOnCallerThread) {
