@@ -168,6 +168,20 @@ void ProductStateRangeScalar(double* re, double* im, uint64_t b, uint64_t e,
   }
 }
 
+void WalshHadamardScalar(double* table, int bits) {
+  const uint64_t size = uint64_t{1} << bits;
+  for (uint64_t h = 1; h < size; h <<= 1) {
+    for (uint64_t b = 0; b < size; b += 2 * h) {
+      for (uint64_t k = b; k < b + h; ++k) {
+        const double x = table[k];
+        const double y = table[k + h];
+        table[k] = x + y;
+        table[k + h] = x - y;
+      }
+    }
+  }
+}
+
 void SinCosRangeScalar(const double* x, double* sn, double* cs,
                        uint64_t count) {
   using namespace sincos;
@@ -300,6 +314,14 @@ void ProductStateRange(SimdLevel level, double* re, double* im, uint64_t b,
   } else {
     ProductStateRangeScalar(re, im, b, e, high_re, high_im, low_re, low_im,
                             low_bits);
+  }
+}
+
+void WalshHadamard(SimdLevel level, double* table, int bits) {
+  if (level == SimdLevel::kAvx2) {
+    WalshHadamardAvx2(table, bits);
+  } else {
+    WalshHadamardScalar(table, bits);
   }
 }
 

@@ -91,6 +91,15 @@ void ProductStateRange(SimdLevel level, double* re, double* im, uint64_t b,
                        const double* high_im, const double* low_re,
                        const double* low_im, int low_bits);
 
+// ---- Walsh–Hadamard transform ---------------------------------------------
+
+/// In-place unnormalized fast Walsh–Hadamard transform of table[0, 2^bits):
+/// afterwards table[i] = Σ_s old[s] · (−1)^{|i ∧ s|}. Stage h = 1, 2, 4, …
+/// replaces every pair (x, y) = (table[k], table[k + h]) with (x + y, x − y);
+/// both levels run the same stages in the same order, so they agree bit for
+/// bit.
+void WalshHadamard(SimdLevel level, double* table, int bits);
+
 // ---- Deterministic sin/cos ---------------------------------------------------
 
 /// Constants of SinCosRange, shared by its scalar and AVX2 implementations.
@@ -188,6 +197,7 @@ void ProductStateRangeScalar(double* re, double* im, uint64_t b, uint64_t e,
                              int low_bits);
 void SinCosRangeScalar(const double* x, double* sn, double* cs,
                        uint64_t count);
+void WalshHadamardScalar(double* table, int bits);
 
 void Apply1QRangeAvx2(double* re, double* im, uint64_t pb, uint64_t pe,
                       uint64_t stride, const double* m);
@@ -216,6 +226,7 @@ void ProductStateRangeAvx2(double* re, double* im, uint64_t b, uint64_t e,
                            const double* low_re, const double* low_im,
                            int low_bits);
 void SinCosRangeAvx2(const double* x, double* sn, double* cs, uint64_t count);
+void WalshHadamardAvx2(double* table, int bits);
 
 }  // namespace simd
 }  // namespace qdb

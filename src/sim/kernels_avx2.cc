@@ -394,6 +394,37 @@ QDB_AVX2 void ProductStateRangeAvx2(double* re, double* im, uint64_t b,
   }
 }
 
+QDB_AVX2 void WalshHadamardAvx2(double* table, int bits) {
+  if (bits < 3) {
+    WalshHadamardScalar(table, bits);
+    return;
+  }
+  const uint64_t size = uint64_t{1} << bits;
+  // Stages h = 1 and h = 2 inside each 4-vector: lanes pair (0,1),(2,3),
+  // then (0,2),(1,3); the blend keeps x + y in the low and x − y in the
+  // high member of each pair, as the scalar stage writes them.
+  for (uint64_t k = 0; k < size; k += 4) {
+    __m256d v = _mm256_loadu_pd(table + k);
+    __m256d x = _mm256_movedup_pd(v);       // a0 a0 a2 a2
+    __m256d y = _mm256_permute_pd(v, 0xF);  // a1 a1 a3 a3
+    v = _mm256_blend_pd(_mm256_add_pd(x, y), _mm256_sub_pd(x, y), 0xA);
+    x = _mm256_permute2f128_pd(v, v, 0x00);  // b0 b1 b0 b1
+    y = _mm256_permute2f128_pd(v, v, 0x11);  // b2 b3 b2 b3
+    v = _mm256_blend_pd(_mm256_add_pd(x, y), _mm256_sub_pd(x, y), 0xC);
+    _mm256_storeu_pd(table + k, v);
+  }
+  for (uint64_t h = 4; h < size; h <<= 1) {
+    for (uint64_t b = 0; b < size; b += 2 * h) {
+      for (uint64_t k = b; k < b + h; k += 4) {
+        const __m256d x = _mm256_loadu_pd(table + k);
+        const __m256d y = _mm256_loadu_pd(table + k + h);
+        _mm256_storeu_pd(table + k, _mm256_add_pd(x, y));
+        _mm256_storeu_pd(table + k + h, _mm256_sub_pd(x, y));
+      }
+    }
+  }
+}
+
 QDB_AVX2 void SinCosRangeAvx2(const double* x, double* sn, double* cs,
                                uint64_t count) {
   using namespace sincos;
@@ -522,6 +553,9 @@ void ProductStateRangeAvx2(double* re, double* im, uint64_t b, uint64_t e,
 }
 void SinCosRangeAvx2(const double* x, double* sn, double* cs, uint64_t count) {
   SinCosRangeScalar(x, sn, cs, count);
+}
+void WalshHadamardAvx2(double* table, int bits) {
+  WalshHadamardScalar(table, bits);
 }
 
 }  // namespace simd

@@ -10,6 +10,7 @@
 #include "fault/fault_injector.h"
 #include "obs/obs.h"
 #include "sim/compiled_circuit.h"
+#include "sim/simd.h"
 #include "sim/walsh.h"
 
 namespace qdb {
@@ -399,10 +400,12 @@ double PreparedObservable::Expectation(const StateVector& state) const {
   QDB_CHECK_EQ(num_qubits_, state.num_qubits());
   const double* re = state.reals();
   const double* im = state.imags();
+  const simd::SimdLevel lvl = simd::ActiveSimdLevel();
   auto chunk_sum = [&](uint64_t begin, uint64_t end) {
     double part = 0.0;
     for (const Group& g : groups_) {
-      part += WalshCorrelationRange(g.re, g.im, g.xmask, re, im, begin, end);
+      part += WalshCorrelationRange(lvl, g.re, g.im, g.xmask, re, im, begin,
+                                    end);
     }
     return part;
   };

@@ -25,8 +25,8 @@ int TableBits(const std::vector<WalshTerm>& a,
 /// Fills table[0, 2^bits) with f(base + l), f = Σ terms. The bits of `base`
 /// are the block's high index bits; each term's sign under them is folded in
 /// before the transform.
-void EvaluateBlock(const std::vector<WalshTerm>& terms, uint64_t base,
-                   int bits, double* table) {
+void EvaluateBlock(simd::SimdLevel level, const std::vector<WalshTerm>& terms,
+                   uint64_t base, int bits, double* table) {
   const uint64_t size = uint64_t{1} << bits;
   std::fill(table, table + size, 0.0);
   // With fewer terms than table bits, summing each term over the table
@@ -44,23 +44,13 @@ void EvaluateBlock(const std::vector<WalshTerm>& terms, uint64_t base,
       table[l] += (__builtin_popcountll(l & low) & 1) ? -c : c;
     }
   }
-  if (!direct) FastWalshHadamard(table, bits);
+  if (!direct) simd::WalshHadamard(level, table, bits);
 }
 
 }  // namespace
 
 void FastWalshHadamard(double* table, int bits) {
-  const uint64_t size = uint64_t{1} << bits;
-  for (uint64_t h = 1; h < size; h <<= 1) {
-    for (uint64_t b = 0; b < size; b += 2 * h) {
-      for (uint64_t k = b; k < b + h; ++k) {
-        const double x = table[k];
-        const double y = table[k + h];
-        table[k] = x + y;
-        table[k + h] = x - y;
-      }
-    }
-  }
+  simd::WalshHadamard(simd::ActiveSimdLevel(), table, bits);
 }
 
 void ApplyWalshPhaseRange(simd::SimdLevel level,
@@ -70,7 +60,7 @@ void ApplyWalshPhaseRange(simd::SimdLevel level,
   const uint64_t period = uint64_t{1} << bits;
   double phi[kBlock], cs[kBlock], sn[kBlock];
   for (uint64_t base = begin; base < end; base += kBlock) {
-    EvaluateBlock(phase, base, bits, phi);
+    EvaluateBlock(level, phase, base, bits, phi);
     simd::SinCosRange(level, phi, sn, cs, period);
     const uint64_t stop = std::min(end, base + kBlock);
     for (uint64_t i = base; i < stop; ++i) {
@@ -83,7 +73,8 @@ void ApplyWalshPhaseRange(simd::SimdLevel level,
   }
 }
 
-double WalshCorrelationRange(const std::vector<WalshTerm>& w_re,
+double WalshCorrelationRange(simd::SimdLevel level,
+                             const std::vector<WalshTerm>& w_re,
                              const std::vector<WalshTerm>& w_im,
                              uint64_t xmask, const double* re,
                              const double* im, uint64_t begin, uint64_t end) {
@@ -94,8 +85,8 @@ double WalshCorrelationRange(const std::vector<WalshTerm>& w_re,
   if (w_im.empty()) std::fill(wi, wi + period, 0.0);
   double acc = 0.0;
   for (uint64_t base = begin; base < end; base += kBlock) {
-    EvaluateBlock(w_re, base, bits, wr);
-    if (!w_im.empty()) EvaluateBlock(w_im, base, bits, wi);
+    EvaluateBlock(level, w_re, base, bits, wr);
+    if (!w_im.empty()) EvaluateBlock(level, w_im, base, bits, wi);
     const uint64_t stop = std::min(end, base + kBlock);
     for (uint64_t i = base; i < stop; ++i) {
       const uint64_t l = (i - base) & (period - 1);

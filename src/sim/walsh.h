@@ -19,11 +19,11 @@
 /// over its low bits and transforms that table (or, with fewer terms than
 /// table bits, sums the terms over the table directly). Block boundaries, fill order
 /// and butterfly order depend only on the terms and the indices, so every
-/// sweep is bit-identical at any thread count. The tables and transforms are
-/// scalar code built without FP contraction, and phase sweeps take their
-/// sin/cos from simd::SinCosRange (sim/kernels.h), whose scalar and AVX2
-/// paths perform the same operations in the same order; so every sweep is
-/// also identical at every SIMD dispatch level.
+/// sweep is bit-identical at any thread count. The table code is built
+/// without FP contraction, and the transforms (simd::WalshHadamard)
+/// and phase sweeps' sin/cos (simd::SinCosRange, sim/kernels.h) perform the
+/// same operations in the same order on their scalar and AVX2 paths; so
+/// every sweep is also identical at every SIMD dispatch level.
 
 #ifndef QDB_SIM_WALSH_H_
 #define QDB_SIM_WALSH_H_
@@ -47,7 +47,8 @@ struct WalshTerm {
 };
 
 /// In-place unnormalized fast Walsh–Hadamard transform of table[0, 2^bits):
-/// afterwards table[i] = Σ_s old[s] · (−1)^{|i ∧ s|}.
+/// afterwards table[i] = Σ_s old[s] · (−1)^{|i ∧ s|}. simd::WalshHadamard
+/// at the active level; every level gives the same bits.
 void FastWalshHadamard(double* table, int bits);
 
 /// Multiplies amplitude i of the (re, im) planes by e^{iΦ(i)} for every i in
@@ -63,7 +64,10 @@ void ApplyWalshPhaseRange(simd::SimdLevel level,
 /// planes, with W = Σ `w_re` + i·Σ `w_im`. Alignment as for
 /// ApplyWalshPhaseRange. This is the expectation share of every Pauli string
 /// with X-mask `xmask` when W carries each string's c·i^{#Y} on its Y|Z mask.
-double WalshCorrelationRange(const std::vector<WalshTerm>& w_re,
+/// `level` picks the transform's dispatch level; the result is the same at
+/// every level.
+double WalshCorrelationRange(simd::SimdLevel level,
+                             const std::vector<WalshTerm>& w_re,
                              const std::vector<WalshTerm>& w_im,
                              uint64_t xmask, const double* re,
                              const double* im, uint64_t begin, uint64_t end);

@@ -273,6 +273,30 @@ TEST(SinCosRangeTest, ScalarAndAvx2AgreeBitwiseIncludingFallback) {
   EXPECT_GT(fallback, x.size() / 4);
 }
 
+TEST(WalshHadamardTest, ScalarAndAvx2AgreeBitwise) {
+  if (!simd::CpuSupportsAvx2()) GTEST_SKIP() << "no AVX2 on this CPU";
+  Rng rng(23);
+  for (int bits = 0; bits <= 13; ++bits) {
+    std::vector<double> scalar(size_t{1} << bits);
+    for (double& v : scalar) v = rng.Uniform(-3.0, 3.0);
+    std::vector<double> avx2 = scalar;
+    simd::WalshHadamard(simd::SimdLevel::kScalar, scalar.data(), bits);
+    simd::WalshHadamard(simd::SimdLevel::kAvx2, avx2.data(), bits);
+    for (size_t i = 0; i < scalar.size(); ++i) {
+      ASSERT_EQ(std::memcmp(&scalar[i], &avx2[i], sizeof(double)), 0)
+          << "bits " << bits << " entry " << i;
+    }
+  }
+  // The transform is its own inverse up to 2^bits.
+  std::vector<double> t = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0};
+  simd::WalshHadamard(simd::SimdLevel::kAvx2, t.data(), 3);
+  EXPECT_EQ(t[0], 36.0);
+  EXPECT_EQ(t[1], -4.0);
+  EXPECT_EQ(t[7], 0.0);
+  simd::WalshHadamard(simd::SimdLevel::kAvx2, t.data(), 3);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(t[static_cast<size_t>(i)], 8.0 * (i + 1));
+}
+
 /// A dense brick-pattern circuit whose lowered ops include long blockable
 /// runs plus MSB-operand barriers, mirroring the benchmark workload.
 Circuit BrickCircuit(int n, int layers) {
