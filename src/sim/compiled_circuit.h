@@ -76,16 +76,14 @@ class Counter;  // obs/metrics.h
 }  // namespace obs
 
 /// Shortest run of consecutive diagonal ops that fusion collapses into one
-/// kDiagonalRun. A run's sweep costs about one cos/sin per amplitude plus a
-/// per-block transform, whatever its length; below the threshold the
+/// kDiagonalRun. A run's sweep costs about one vector sin/cos per amplitude
+/// plus a per-block transform, whatever its length; below the threshold the
 /// per-gate diagonal sweeps are cheaper. BM_DiagonalRunLength in
 /// bench/bench_simulator.cc measures the crossover at 4–20 qubits on one
-/// and four lanes: it sits near 24 gates at 8–12 qubits and between 24 and
-/// 32 at 14–20 qubits on one lane, and lower wherever per-gate sweeps fork
-/// across lanes (BENCH_simulator.json, E1 in EXPERIMENTS.md). At 32 the
-/// fused run wins at every measured width and lane count, so one constant
-/// serves every width.
-inline constexpr size_t kMinDiagonalRunOps = 32;
+/// and four lanes: at 8 gates the fused run loses at 12, 16 and 20 qubits,
+/// at 16 gates it wins in every cell, by 1.9× or more (BENCH_simulator.json,
+/// E1 in EXPERIMENTS.md). So one constant serves every width.
+inline constexpr size_t kMinDiagonalRunOps = 16;
 
 /// log2 of the amplitudes in one replay tile. Replay applies each run of
 /// consecutive ops whose operands all sit below the tile boundary tile by
