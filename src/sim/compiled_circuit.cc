@@ -639,8 +639,8 @@ size_t ProductPrefixLength(const std::vector<CompiledOp>& ops) {
 }
 
 /// True iff `state` is bit for bit |0…0⟩: a[0] = 1 + 0i and every other
-/// amplitude +0. A -0 or a denormal anywhere counts as "not |0…0⟩", which
-/// only costs the fast path.
+/// amplitude +0. A −0 anywhere counts as another state, which only costs
+/// the fast path.
 bool IsZeroState(const StateVector& state) {
   const double* re = state.reals();
   const double* im = state.imags();
@@ -765,8 +765,7 @@ bool IsTileable(const CompiledOp& op, int num_qubits, int tile_bits) {
 /// arithmetic the full-state StateVector methods do — so tiled replay is
 /// bit-identical to op-at-a-time replay.
 void ApplyOpToTile(const CompiledOp& op, int num_qubits, double* re,
-                    double* im, uint64_t b0, uint64_t b1,
-                    simd::SimdLevel lvl) {
+                   double* im, uint64_t b0, uint64_t b1, simd::SimdLevel lvl) {
   const auto pos = [num_qubits](int q) { return num_qubits - 1 - q; };
   switch (op.kind) {
     case CompiledOpKind::k1QDense: {

@@ -449,13 +449,17 @@ TEST(CompiledCircuitTest, ProductPrefixOnOtherStatesReplaysItsOps) {
   CVector amps(uint64_t{1} << n);
   for (Complex& a : amps) a = Complex(rng.Normal(), rng.Normal());
   Normalize(amps);
-  // A basis state other than |0…0⟩, a dense state, and |0…0⟩ with a
-  // negative zero: none may take the product-state path.
+  // A basis state other than |0…0⟩, a dense state, |0…0⟩ with a negative
+  // zero and |0…0⟩ plus an imaginary tail: none may take the product-state
+  // path.
   StateVector signed_zero(n);
   signed_zero.set_amplitude(3, Complex(-0.0, 0.0));
+  StateVector imaginary_tail(n);
+  imaginary_tail.set_amplitude(5, Complex(0.0, 1e-3));
   for (const StateVector& input :
        {StateVector::BasisState(n, 5),
-        StateVector::FromAmplitudes(amps).ValueOrDie(), signed_zero}) {
+        StateVector::FromAmplitudes(amps).ValueOrDie(), signed_zero,
+        imaginary_tail}) {
     const DVector params = {0.9, -0.6};
     StateVector expected = input;
     ASSERT_TRUE(unfused.Execute(expected, params).ok());
