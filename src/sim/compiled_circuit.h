@@ -168,7 +168,10 @@ struct CompileStats {
   size_t fused_2q2q = 0;     ///< 2Q pairs on one qubit pair merged.
   size_t diagonal_runs = 0;  ///< kDiagonalRun ops emitted.
   size_t diagonal_run_gates = 0;  ///< Source gates folded into them.
-  size_t product_prefix_ops = 0;  ///< Leading 1Q ops replay may fold.
+  /// The product prefix: the program's leading run of single-qubit ops,
+  /// constant or parametric. Replay on |0…0⟩ writes their product state in
+  /// one pass instead of replaying them. Always 0 without fusion.
+  size_t product_prefix_ops = 0;
 };
 
 /// \brief A circuit lowered to a flat, typed kernel program. Immutable after
@@ -195,10 +198,6 @@ class CompiledCircuit {
   int num_parameters() const { return num_parameters_; }
   size_t num_ops() const { return ops_.size(); }
   const std::vector<CompiledOp>& ops() const { return ops_; }
-  /// The program's product prefix: its leading run of single-qubit ops,
-  /// constant or parametric. Replay on |0…0⟩ writes their product state in
-  /// one pass instead of replaying them. Always 0 without fusion.
-  size_t product_prefix_ops() const { return stats_.product_prefix_ops; }
   const CompileStats& stats() const { return stats_; }
 
  private:

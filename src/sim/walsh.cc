@@ -29,9 +29,11 @@ void EvaluateBlock(simd::SimdLevel level, const std::vector<WalshTerm>& terms,
                    uint64_t base, int bits, double* table) {
   const uint64_t size = uint64_t{1} << bits;
   std::fill(table, table + size, 0.0);
-  // With fewer terms than table bits, summing each term over the table
-  // directly is cheaper than the transform (one Z string, say).
-  const bool direct = terms.size() < static_cast<size_t>(bits);
+  // Summing a term over the table costs about four vectorized transform
+  // stages, so with fewer than bits / 4 terms (one Z string, say) the direct
+  // sums are cheaper. The choice depends only on the terms, never on the
+  // dispatch level, so every level computes the same sums.
+  const bool direct = 4 * terms.size() < static_cast<size_t>(bits);
   for (const WalshTerm& t : terms) {
     const bool flip = __builtin_popcountll(base & t.mask) & 1;
     const double c = flip ? -t.coefficient : t.coefficient;

@@ -417,11 +417,11 @@ TEST(CompiledCircuitTest, ProductPrefixOnZeroStateMatchesUnitaryOracle) {
   const CompiledCircuit fused = CompiledCircuit::Compile(c);
   // The leading single-qubit gates fuse per qubit where constant; the
   // parametric ones stay separate, and all of them form the prefix.
-  ASSERT_GT(fused.product_prefix_ops(), static_cast<size_t>(n));
-  EXPECT_EQ(fused.ops()[fused.product_prefix_ops()].kind,
+  ASSERT_GT(fused.stats().product_prefix_ops, static_cast<size_t>(n));
+  EXPECT_EQ(fused.ops()[fused.stats().product_prefix_ops].kind,
             CompiledOpKind::kControlled1Q);
   EXPECT_EQ(CompiledCircuit::Compile(c, CompileOptions{.fuse = false})
-                .product_prefix_ops(),
+                .stats().product_prefix_ops,
             0u);
 
   obs::Counter* product_states = obs::GetCounter("sim.gates.product_state");

@@ -408,7 +408,7 @@ TEST(CacheBlockedExecutionTest, QaoaProgramBitIdenticalAcrossDispatch) {
   const CompiledCircuit program =
       CompiledCircuit::Compile(QaoaShapedCircuit(n, 136));
   ASSERT_EQ(program.stats().diagonal_runs, 1u);
-  ASSERT_EQ(program.product_prefix_ops(), static_cast<size_t>(n));
+  ASSERT_EQ(program.stats().product_prefix_ops, static_cast<size_t>(n));
   const DVector params = {0.45, 1.3};
   ASSERT_TRUE(simd::SetActiveSimdLevel(simd::SimdLevel::kScalar));
   ThreadPool::SetGlobalThreads(1);
