@@ -52,13 +52,15 @@ for suite in simulator qkernel gradients serve obs serve_scale store; do
     --benchmark_out_format=json
   # google-benchmark's context.library_build_type describes how the
   # *installed benchmark library* was compiled, not this repo. Stamp the
-  # verified qdb build type so provenance survives in the snapshot itself.
+  # verified qdb build type and the host's core count so provenance
+  # survives in the snapshot itself.
   python3 - "${out}" "${build_type}" << 'PYEOF'
-import json, sys
+import json, os, sys
 path, build_type = sys.argv[1], sys.argv[2]
 with open(path) as f:
     doc = json.load(f)
 doc.setdefault("context", {})["qdb_build_type"] = build_type
+doc["context"]["nproc"] = os.cpu_count()
 with open(path, "w") as f:
     json.dump(doc, f, indent=2)
     f.write("\n")

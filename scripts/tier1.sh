@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Tier-1 gate: configure + build + full test suite, then rebuild the
 # concurrency-sensitive tests under ThreadSanitizer and run them, run the
-# storage and Walsh-sweep suites under UndefinedBehaviorSanitizer, replay
-# the seeded chaos profiles, run the kill-9 crash-recovery matrix, and gate
-# the serving tier's observability overhead. Run from the repo root:
+# storage, Walsh-sweep, SIMD and pool suites under
+# UndefinedBehaviorSanitizer, replay the seeded chaos profiles, run the
+# kill-9 crash-recovery matrix, and gate the serving tier's observability
+# overhead. Run from the repo root:
 #
 #   ./scripts/tier1.sh
 #
 # Build directories: build/ (regular), build-tsan/ (TSan, library + tests
-# only), build-ubsan/ (UBSan, storage and Walsh-sweep tests only). All are
-# incremental across invocations.
+# only), build-ubsan/ (UBSan, storage, Walsh-sweep, SIMD and pool tests
+# only). All are incremental across invocations.
 #
 # On a ctest failure, every test binary leaves a full metrics-registry dump
 # (QDB_METRICS_OUT) under build/Testing/metrics/ — the path is printed so
@@ -57,24 +58,30 @@ QDB_THREADS=4 ./build-tsan/tests/store_test
 QDB_THREADS=4 ./build-tsan/tests/journal_test
 
 echo
-echo "== tier 1: storage tier and Walsh sweeps under UndefinedBehaviorSanitizer =="
+echo "== tier 1: storage, Walsh sweeps, SIMD and pool under UndefinedBehaviorSanitizer =="
 # The journal parses raw bytes off disk (replay of possibly-torn records);
 # UBSan over the storage suites catches misaligned loads, overflow in
 # offset arithmetic, and enum smuggling that a crash harness would only hit
 # probabilistically. The Walsh sweeps (batched Pauli-sum expectations,
-# diagonal runs, Ising diagonals) index tables by shifted masks, so their
-# suites run here too.
+# diagonal runs, Ising diagonals) index tables by shifted masks, and the
+# vector sin/cos, product-state and tiled-replay paths shift quadrant bits
+# and tile indices, so their suites and the pool's retraction run here too.
 cmake -B build-ubsan -S . \
   -DQDB_SANITIZE=undefined \
   -DQDB_BUILD_BENCHMARKS=OFF \
   -DQDB_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-ubsan -j --target store_test --target journal_test \
-  --target pauli_test --target qaoa_test --target compiled_circuit_test
+  --target pauli_test --target qaoa_test --target compiled_circuit_test \
+  --target simd_equivalence_test --target sim_parallel_test \
+  --target thread_pool_test
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/store_test
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/journal_test
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/pauli_test
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/qaoa_test
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/compiled_circuit_test
+UBSAN_OPTIONS=halt_on_error=1 QDB_THREADS=4 ./build-ubsan/tests/simd_equivalence_test
+UBSAN_OPTIONS=halt_on_error=1 QDB_THREADS=4 ./build-ubsan/tests/sim_parallel_test
+UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/thread_pool_test
 
 echo
 echo "== tier 1: forced-scalar dispatch (QDB_SIMD=0) =="
@@ -86,6 +93,7 @@ QDB_SIMD=0 ./build/tests/simd_equivalence_test
 QDB_SIMD=0 ./build/tests/pauli_test
 QDB_SIMD=0 ./build/tests/qaoa_test
 QDB_SIMD=0 ./build/tests/compiled_circuit_test
+QDB_SIMD=0 QDB_THREADS=4 ./build/tests/sim_parallel_test
 
 echo
 echo "== tier 1: seeded chaos profiles =="

@@ -80,9 +80,10 @@ class Counter;  // obs/metrics.h
 /// plus a per-block transform, whatever its length; below the threshold the
 /// per-gate diagonal sweeps are cheaper. BM_DiagonalRunLength in
 /// bench/bench_simulator.cc measures the crossover at 4–20 qubits on one
-/// and four lanes: at 8 gates the fused run loses at 12, 16 and 20 qubits,
-/// at 16 gates it wins in every cell, by 1.9× or more (BENCH_simulator.json,
-/// E1 in EXPERIMENTS.md). So one constant serves every width.
+/// and four lanes: at 8 gates the fused run still loses at 12 qubits on one
+/// lane, at 16 gates it wins in every cell, by 1.8× or more
+/// (BENCH_simulator.json, E1 in EXPERIMENTS.md). So one constant serves
+/// every width.
 inline constexpr size_t kMinDiagonalRunOps = 16;
 
 /// log2 of the amplitudes in one replay tile. Replay applies each run of
@@ -90,9 +91,11 @@ inline constexpr size_t kMinDiagonalRunOps = 16;
 /// tile, one ThreadPool task per tile, so the run costs one fork-join and
 /// one cache-resident pass over the state. BM_ReplayTileBits in
 /// bench/bench_simulator.cc sweeps 2^11–2^16 tiles at 14–20 qubits on 1, 2
-/// and 4 lanes (E1 in EXPERIMENTS.md): 2^12 amplitudes (64 KiB over both
-/// planes) is within noise of the best tile at every width, so the size
-/// does not depend on the width. Results are identical at every tile size.
+/// and 4 lanes (E1 in EXPERIMENTS.md). Over two sweeps 2^12 amplitudes
+/// (64 KiB over both planes) stayed within 2% of the cheapest size while
+/// 2^11 and 2^13 traded places, and no width shows a preference for
+/// another size that the host's noise lets one resolve, so the tile is
+/// 2^12 at every width. Results are identical at every tile size.
 inline constexpr int kReplayTileBits = 12;
 
 struct CompileOptions {
