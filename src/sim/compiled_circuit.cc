@@ -582,7 +582,7 @@ CompiledOp BindGate(const CompiledOp& op, const DVector& params) {
   return bound;
 }
 
-// ---- Single-qubit runs -------------------------------------------------------
+// ---- Single-qubit runs ------------------------------------------------------
 
 bool Is1QOp(const CompiledOp& op) {
   return op.kind == CompiledOpKind::k1QDense ||

@@ -91,7 +91,7 @@ void ProductStateRange(SimdLevel level, double* re, double* im, uint64_t b,
                        const double* high_im, const double* low_re,
                        const double* low_im, int low_bits);
 
-// ---- Walsh–Hadamard transform ---------------------------------------------
+// ---- Walsh–Hadamard transform -----------------------------------------------
 
 /// In-place unnormalized fast Walsh–Hadamard transform of table[0, 2^bits):
 /// afterwards table[i] = Σ_s old[s] · (−1)^{|i ∧ s|}. Stage h = 1, 2, 4, …
@@ -100,7 +100,7 @@ void ProductStateRange(SimdLevel level, double* re, double* im, uint64_t b,
 /// bit.
 void WalshHadamard(SimdLevel level, double* table, int bits);
 
-// ---- Deterministic sin/cos ---------------------------------------------------
+// ---- Deterministic sin/cos --------------------------------------------------
 
 /// Constants of SinCosRange, shared by its scalar and AVX2 implementations.
 /// Reduction: k = round(x · 2/π) by the 1.5·2^52 rounding trick, then

@@ -437,6 +437,12 @@ QDB_AVX2 void SinCosRangeAvx2(const double* x, double* sn, double* cs,
   const __m256d pio2_lo = _mm256_set1_pd(kPio2Lo);
   const __m256d half = _mm256_set1_pd(0.5);
   const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d s1 = _mm256_set1_pd(kS1), s2 = _mm256_set1_pd(kS2);
+  const __m256d s3 = _mm256_set1_pd(kS3), s4 = _mm256_set1_pd(kS4);
+  const __m256d s5 = _mm256_set1_pd(kS5), s6 = _mm256_set1_pd(kS6);
+  const __m256d c1 = _mm256_set1_pd(kC1), c2 = _mm256_set1_pd(kC2);
+  const __m256d c3 = _mm256_set1_pd(kC3), c4 = _mm256_set1_pd(kC4);
+  const __m256d c5 = _mm256_set1_pd(kC5), c6 = _mm256_set1_pd(kC6);
   uint64_t i = 0;
   for (; i + 4 <= count; i += 4) {
     const __m256d xv = _mm256_loadu_pd(x + i);
@@ -456,20 +462,20 @@ QDB_AVX2 void SinCosRangeAvx2(const double* x, double* sn, double* cs,
         _mm256_mul_pd(k, pio2_lo));
     const __m256d z = _mm256_mul_pd(r, r);
     // ps = S2 + z*(S3 + z*(S4 + z*(S5 + z*S6)))
-    __m256d ps = _mm256_add_pd(_mm256_set1_pd(kS5), _mm256_mul_pd(z, _mm256_set1_pd(kS6)));
-    ps = _mm256_add_pd(_mm256_set1_pd(kS4), _mm256_mul_pd(z, ps));
-    ps = _mm256_add_pd(_mm256_set1_pd(kS3), _mm256_mul_pd(z, ps));
-    ps = _mm256_add_pd(_mm256_set1_pd(kS2), _mm256_mul_pd(z, ps));
+    __m256d ps = _mm256_add_pd(s5, _mm256_mul_pd(z, s6));
+    ps = _mm256_add_pd(s4, _mm256_mul_pd(z, ps));
+    ps = _mm256_add_pd(s3, _mm256_mul_pd(z, ps));
+    ps = _mm256_add_pd(s2, _mm256_mul_pd(z, ps));
     const __m256d s = _mm256_add_pd(
         r, _mm256_mul_pd(_mm256_mul_pd(z, r),
-                         _mm256_add_pd(_mm256_set1_pd(kS1), _mm256_mul_pd(z, ps))));
+                         _mm256_add_pd(s1, _mm256_mul_pd(z, ps))));
     // pc = z*(C1 + z*(C2 + z*C3)) + w*w*(C4 + z*(C5 + z*C6)), w = z*z
     const __m256d w = _mm256_mul_pd(z, z);
-    __m256d lo = _mm256_add_pd(_mm256_set1_pd(kC2), _mm256_mul_pd(z, _mm256_set1_pd(kC3)));
-    lo = _mm256_mul_pd(z, _mm256_add_pd(_mm256_set1_pd(kC1), _mm256_mul_pd(z, lo)));
-    __m256d hi = _mm256_add_pd(_mm256_set1_pd(kC5), _mm256_mul_pd(z, _mm256_set1_pd(kC6)));
+    __m256d lo = _mm256_add_pd(c2, _mm256_mul_pd(z, c3));
+    lo = _mm256_mul_pd(z, _mm256_add_pd(c1, _mm256_mul_pd(z, lo)));
+    __m256d hi = _mm256_add_pd(c5, _mm256_mul_pd(z, c6));
     hi = _mm256_mul_pd(_mm256_mul_pd(w, w),
-                       _mm256_add_pd(_mm256_set1_pd(kC4), _mm256_mul_pd(z, hi)));
+                       _mm256_add_pd(c4, _mm256_mul_pd(z, hi)));
     const __m256d pc = _mm256_add_pd(lo, hi);
     const __m256d hz = _mm256_mul_pd(half, z);
     const __m256d one_minus = _mm256_sub_pd(one, hz);

@@ -294,7 +294,7 @@ TEST(WalshHadamardTest, ScalarAndAvx2AgreeBitwise) {
   EXPECT_EQ(t[1], -4.0);
   EXPECT_EQ(t[7], 0.0);
   simd::WalshHadamard(simd::SimdLevel::kAvx2, t.data(), 3);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(t[static_cast<size_t>(i)], 8.0 * (i + 1));
+  for (size_t i = 0; i < t.size(); ++i) EXPECT_EQ(t[i], 8.0 * (i + 1));
 }
 
 /// A dense brick-pattern circuit whose lowered ops include long blockable
@@ -356,7 +356,8 @@ Circuit QaoaShapedCircuit(int n, int cost_gates) {
   for (int q = 0; q < n; ++q) c.H(q);
   for (int k = 0; k < cost_gates; ++k) {
     const int a = static_cast<int>(rng.UniformInt(uint64_t(n)));
-    const int b = (a + 1 + static_cast<int>(rng.UniformInt(uint64_t(n - 1)))) % n;
+    const int b =
+        (a + 1 + static_cast<int>(rng.UniformInt(uint64_t(n - 1)))) % n;
     const double scale = rng.Uniform(-2.0, 2.0);
     if (k % 4 == 0) {
       c.RZ(a, ParamExpr::Affine(0, scale, 0.0));
@@ -376,7 +377,8 @@ TEST(CacheBlockedExecutionTest, TiledReplayMatchesOpAtATimeBitwise) {
   // brick circuits with fused 2Q ops on low and high qubits.
   ThreadPool::SetGlobalThreads(4);
   for (const int n : {14, 15, 16}) {
-    for (const Circuit& circuit : {QaoaShapedCircuit(n, 60), BrickCircuit(n, 2)}) {
+    for (const Circuit& circuit :
+         {QaoaShapedCircuit(n, 60), BrickCircuit(n, 2)}) {
       const CompiledCircuit program = CompiledCircuit::Compile(circuit);
       const DVector params = {0.37, -1.1};
       StateVector op_at_a_time(n);
