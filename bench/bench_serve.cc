@@ -2,14 +2,15 @@
 //
 // Headline comparison, at 12 qubits with 8 concurrent clients: the
 // pre-serving path recomputes everything per request (a kernel-SVM request
-// rebuilds the full CrossMatrix against the support set — |SV| + 1 encoding
-// circuits; a variational request rebuilds and re-lowers its circuit), while
-// the serving runtime amortizes — support vectors are encoded once at model
-// load, variational requests replay one pre-compiled symbolic-feature
+// rebuilds the full CrossMatrix against the support set — |SV| + 1
+// encodings; a variational request rebuilds and re-lowers its circuit),
+// while the serving runtime amortizes — support vectors are encoded once at
+// model load, variational requests replay one pre-compiled symbolic-feature
 // program, and queued requests coalesce into micro-batches that fan out
 // across the thread pool. Headline result: served kernel-SVM throughput is
-// >= 2x the single-request baseline even on one core (~16x observed: the
-// per-request encoding work drops from |SV| + 1 circuits to 1). The VQC
+// >= 2x the single-request baseline (7.7x in BENCH_serve.json on a 4-core
+// host: the per-request encoding work drops from |SV| + 1 points to 1;
+// angle encodings are factored per qubit, so neither path simulates). The VQC
 // comparison is informative rather than a win condition — its per-request
 // circuit is sub-millisecond at 12 qubits, so on a single core dispatch
 // overhead dominates and serving pays for itself only with multiple cores

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: configure + build + full test suite, then rebuild the
 # concurrency-sensitive tests under ThreadSanitizer and run them, run the
-# storage, Walsh-sweep, SIMD and pool suites under
+# storage, Walsh-sweep, SIMD, pool, kernel and serving suites under
 # UndefinedBehaviorSanitizer, replay the seeded chaos profiles, run the
 # kill-9 crash-recovery matrix, and gate the serving tier's observability
 # overhead. Run from the repo root:
@@ -9,8 +9,8 @@
 #   ./scripts/tier1.sh
 #
 # Build directories: build/ (regular), build-tsan/ (TSan, library + tests
-# only), build-ubsan/ (UBSan, storage, Walsh-sweep, SIMD and pool tests
-# only). All are incremental across invocations.
+# only), build-ubsan/ (UBSan, storage, Walsh-sweep, SIMD, pool, kernel
+# and serving tests only). All are incremental across invocations.
 #
 # On a ctest failure, every test binary leaves a full metrics-registry dump
 # (QDB_METRICS_OUT) under build/Testing/metrics/ — the path is printed so
@@ -41,7 +41,7 @@ cmake -B build-tsan -S . \
 cmake --build build-tsan -j --target obs_test --target obs_labels_test \
   --target slo_test --target thread_pool_test \
   --target sim_parallel_test --target simd_equivalence_test \
-  --target compiled_circuit_test \
+  --target compiled_circuit_test --target kernel_test \
   --target serve_test --target serve_scale_test --target fault_test \
   --target store_test --target journal_test
 ./build-tsan/tests/obs_test
@@ -51,6 +51,7 @@ cmake --build build-tsan -j --target obs_test --target obs_labels_test \
 QDB_THREADS=4 ./build-tsan/tests/sim_parallel_test
 QDB_THREADS=4 ./build-tsan/tests/simd_equivalence_test
 QDB_THREADS=4 ./build-tsan/tests/compiled_circuit_test
+QDB_THREADS=4 ./build-tsan/tests/kernel_test
 QDB_THREADS=4 ./build-tsan/tests/serve_test
 QDB_THREADS=4 ./build-tsan/tests/serve_scale_test
 QDB_THREADS=4 ./build-tsan/tests/fault_test
@@ -58,7 +59,7 @@ QDB_THREADS=4 ./build-tsan/tests/store_test
 QDB_THREADS=4 ./build-tsan/tests/journal_test
 
 echo
-echo "== tier 1: storage, Walsh sweeps, SIMD and pool under UndefinedBehaviorSanitizer =="
+echo "== tier 1: storage, Walsh sweeps, SIMD, pool, kernels and serving under UndefinedBehaviorSanitizer =="
 # The journal parses raw bytes off disk (replay of possibly-torn records);
 # UBSan over the storage suites catches misaligned loads, overflow in
 # offset arithmetic, and enum smuggling that a crash harness would only hit
@@ -66,6 +67,8 @@ echo "== tier 1: storage, Walsh sweeps, SIMD and pool under UndefinedBehaviorSan
 # diagonal runs, Ising diagonals) index tables by shifted masks, and the
 # vector sin/cos, product-state and tiled-replay paths shift quadrant bits
 # and tile indices, so their suites and the pool's retraction run here too.
+# The fidelity kernels index per-qubit factor pairs and dense overlaps, and
+# the serving suite drives them through kernel-SVM servables.
 cmake -B build-ubsan -S . \
   -DQDB_SANITIZE=undefined \
   -DQDB_BUILD_BENCHMARKS=OFF \
@@ -73,7 +76,7 @@ cmake -B build-ubsan -S . \
 cmake --build build-ubsan -j --target store_test --target journal_test \
   --target pauli_test --target qaoa_test --target compiled_circuit_test \
   --target simd_equivalence_test --target sim_parallel_test \
-  --target thread_pool_test
+  --target thread_pool_test --target kernel_test --target serve_test
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/store_test
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/journal_test
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/pauli_test
@@ -82,6 +85,8 @@ UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/compiled_circuit_test
 UBSAN_OPTIONS=halt_on_error=1 QDB_THREADS=4 ./build-ubsan/tests/simd_equivalence_test
 UBSAN_OPTIONS=halt_on_error=1 QDB_THREADS=4 ./build-ubsan/tests/sim_parallel_test
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/thread_pool_test
+UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/kernel_test
+UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/serve_test
 
 echo
 echo "== tier 1: forced-scalar dispatch (QDB_SIMD=0) =="

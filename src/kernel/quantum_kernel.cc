@@ -1,18 +1,22 @@
 #include "kernel/quantum_kernel.h"
 
+#include <functional>
+
+#include "circuit/gate.h"
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "encoding/encodings.h"
 #include "linalg/vector_ops.h"
 #include "obs/obs.h"
-#include "sim/statevector_simulator.h"
+#include "sim/compiled_circuit.h"
 
 namespace qdb {
 
 namespace {
 
 /// Gram / cross-matrix construction counters: how many kernel entries were
-/// computed and how many encoding circuits were simulated to get them.
+/// computed and how many encoding circuits were simulated to get them
+/// (factored product-state encodings run none).
 struct KernelCounters {
   obs::Counter* circuit_runs = obs::GetCounter("kernel.circuit_runs");
   obs::Counter* entries = obs::GetCounter("kernel.entries_computed");
@@ -23,57 +27,156 @@ KernelCounters& Counters() {
   return counters;
 }
 
+/// Below this many overlapped amplitudes a kernel fill runs inline: one
+/// fork-join costs more than the whole fill (a serving batch of factored
+/// points overlaps a few thousand).
+constexpr size_t kParallelFillAmplitudes = size_t{1} << 14;
+
+/// Runs row(i) for every i < rows; across the shared pool when the fill
+/// overlaps at least kParallelFillAmplitudes amplitudes in all. Every entry
+/// is computed on its own, so the result is the same either way.
+void FillRows(size_t rows, size_t amplitudes,
+              const std::function<void(size_t)>& row) {
+  if (amplitudes < kParallelFillAmplitudes) {
+    for (size_t i = 0; i < rows; ++i) row(i);
+    return;
+  }
+  ThreadPool::Global().RunTasks(rows, row);
+}
+
+/// Folds a circuit of constant single-qubit gates onto |0…0⟩: qubit q's
+/// 2-vector starts at |0⟩ and is multiplied by each of its gates'
+/// GateMatrix in circuit order. Returns false, leaving `point` untouched,
+/// when a gate acts on two or more qubits or an angle is symbolic; that
+/// circuit takes the dense path.
+bool FactorProductState(const Circuit& circuit, EncodedPoint& point) {
+  if (circuit.num_parameters() > 0) return false;
+  for (const Gate& gate : circuit.gates()) {
+    if (GateArity(gate.type) != 1) return false;
+  }
+  const int n = circuit.num_qubits();
+  CVector factors(2 * static_cast<size_t>(n), Complex(0.0, 0.0));
+  for (int q = 0; q < n; ++q) factors[2 * q] = Complex(1.0, 0.0);
+  static const DVector kNoParams;
+  DVector angles;
+  for (const Gate& gate : circuit.gates()) {
+    angles.clear();
+    for (const ParamExpr& p : gate.params) {
+      angles.push_back(p.Evaluate(kNoParams));
+    }
+    const Matrix m = GateMatrix(gate.type, angles);
+    const int q = gate.qubits[0];
+    const Complex a0 = factors[2 * q];
+    const Complex a1 = factors[2 * q + 1];
+    factors[2 * q] = m(0, 0) * a0 + m(0, 1) * a1;
+    factors[2 * q + 1] = m(1, 0) * a0 + m(1, 1) * a1;
+  }
+  point.num_qubits = n;
+  point.factored = true;
+  point.amplitudes = std::move(factors);
+  return true;
+}
+
+/// The 2^n amplitudes of a factored point: ⊗_q u_q, qubit 0 most
+/// significant (the StateVector convention).
+CVector Expand(const EncodedPoint& point) {
+  const CVector& u = point.amplitudes;
+  CVector state = {u[0], u[1]};
+  for (int q = 1; q < point.num_qubits; ++q) {
+    state = Kron(state, {u[2 * q], u[2 * q + 1]});
+  }
+  return state;
+}
+
 }  // namespace
+
+double EncodedFidelity(const EncodedPoint& a, const EncodedPoint& b) {
+  QDB_CHECK_EQ(a.num_qubits, b.num_qubits);
+  if (a.factored && b.factored) {
+    // Π_q ⟨u_q|v_q⟩ in real arithmetic, qubits in order; each factor is
+    // conj(u0)·v0 + conj(u1)·v1.
+    double re = 1.0;
+    double im = 0.0;
+    for (size_t i = 0; i < a.amplitudes.size(); i += 2) {
+      const Complex* u = &a.amplitudes[i];
+      const Complex* v = &b.amplitudes[i];
+      const double fr = u[0].real() * v[0].real() + u[0].imag() * v[0].imag() +
+                        u[1].real() * v[1].real() + u[1].imag() * v[1].imag();
+      const double fi = u[0].real() * v[0].imag() - u[0].imag() * v[0].real() +
+                        u[1].real() * v[1].imag() - u[1].imag() * v[1].real();
+      const double next_re = re * fr - im * fi;
+      im = re * fi + im * fr;
+      re = next_re;
+    }
+    return re * re + im * im;
+  }
+  if (a.factored) return Fidelity(Expand(a), b.amplitudes);
+  if (b.factored) return Fidelity(a.amplitudes, Expand(b));
+  return Fidelity(a.amplitudes, b.amplitudes);
+}
 
 FidelityQuantumKernel::FidelityQuantumKernel(EncodingFn encoder)
     : encoder_(std::move(encoder)) {
   QDB_CHECK(encoder_ != nullptr);
 }
 
-Result<CVector> FidelityQuantumKernel::EncodedState(const DVector& x) const {
-  if (x.empty()) {
-    return Status::InvalidArgument("cannot encode an empty feature vector");
+Status FidelityQuantumKernel::EncodeDense(const Circuit& circuit,
+                                          EncodedPoint& point) const {
+  StateVector state(circuit.num_qubits());
+  if (mode_ == ExecutionMode::kInterpreted) {
+    StateVectorSimulator simulator;
+    simulator.set_execution_mode(ExecutionMode::kInterpreted);
+    QDB_RETURN_IF_ERROR(simulator.RunInPlace(circuit, state));
+  } else {
+    QDB_RETURN_IF_ERROR(CompiledCircuit::Compile(circuit).Execute(state));
   }
-  Circuit circuit = encoder_(x);
-  QDB_ASSIGN_OR_RETURN(StateVector state, simulator_.Run(circuit));
-  Counters().circuit_runs->Increment();
-  return state.ToAmplitudes();
+  point.num_qubits = circuit.num_qubits();
+  point.factored = false;
+  point.amplitudes = state.ToAmplitudes();
+  return Status::OK();
+}
+
+Result<EncodedPoint> FidelityQuantumKernel::EncodedState(
+    const DVector& x) const {
+  QDB_ASSIGN_OR_RETURN(std::vector<EncodedPoint> points, EncodedStates({x}));
+  return std::move(points.front());
 }
 
 Result<double> FidelityQuantumKernel::Evaluate(const DVector& x,
                                                const DVector& y) const {
-  QDB_ASSIGN_OR_RETURN(CVector phi_x, EncodedState(x));
-  QDB_ASSIGN_OR_RETURN(CVector phi_y, EncodedState(y));
-  if (phi_x.size() != phi_y.size()) {
-    return Status::InvalidArgument("encoded states have different widths");
-  }
+  QDB_ASSIGN_OR_RETURN(std::vector<EncodedPoint> points,
+                       EncodedStates({x, y}));
   Counters().entries->Increment();
-  return Fidelity(phi_x, phi_y);
+  return EncodedFidelity(points[0], points[1]);
 }
 
-Result<std::vector<CVector>> FidelityQuantumKernel::EncodedStates(
+Result<std::vector<EncodedPoint>> FidelityQuantumKernel::EncodedStates(
     const std::vector<DVector>& xs) const {
-  std::vector<Circuit> circuits;
-  circuits.reserve(xs.size());
-  for (const auto& x : xs) {
-    if (x.empty()) {
+  std::vector<EncodedPoint> points(xs.size());
+  std::vector<Circuit> dense;
+  std::vector<size_t> dense_index;
+  for (size_t i = 0; i < xs.size(); ++i) {
+    if (xs[i].empty()) {
       return Status::InvalidArgument("cannot encode an empty feature vector");
     }
-    circuits.push_back(encoder_(x));
+    Circuit circuit = encoder_(xs[i]);
+    if (!FactorProductState(circuit, points[i])) {
+      dense.push_back(std::move(circuit));
+      dense_index.push_back(i);
+    }
   }
-  std::vector<CVector> states(xs.size());
-  QDB_RETURN_IF_ERROR(simulator_.RunBatchReduce(
-      circuits, {}, nullptr, [&states](size_t i, StateVector&& state) {
-        states[i] = state.ToAmplitudes();
-        return Status::OK();
-      }));
-  Counters().circuit_runs->Increment(static_cast<long>(xs.size()));
-  for (size_t i = 1; i < states.size(); ++i) {
-    if (states[i].size() != states.front().size()) {
+  std::vector<Status> statuses(dense.size());
+  ThreadPool::Global().RunTasks(dense.size(), [&](size_t k) {
+    statuses[k] = EncodeDense(dense[k], points[dense_index[k]]);
+  });
+  for (Status& status : statuses) QDB_RETURN_IF_ERROR(status);
+  Counters().circuit_runs->Increment(static_cast<long>(dense.size()));
+  for (const EncodedPoint& point : points) {
+    if (point.num_qubits != points.front().num_qubits) {
       return Status::InvalidArgument("encoded states have different widths");
     }
   }
-  return states;
+  return points;
 }
 
 Result<Matrix> FidelityQuantumKernel::GramMatrix(
@@ -82,21 +185,22 @@ Result<Matrix> FidelityQuantumKernel::GramMatrix(
     return Status::InvalidArgument("empty data set");
   }
   QDB_TRACE_SCOPE("FidelityQuantumKernel::GramMatrix", "kernel");
-  QDB_ASSIGN_OR_RETURN(std::vector<CVector> states, EncodedStates(xs));
+  QDB_ASSIGN_OR_RETURN(std::vector<EncodedPoint> points, EncodedStates(xs));
   Matrix gram(xs.size(), xs.size());
+  const size_t entries = xs.size() * (xs.size() - 1) / 2;
+  const size_t work = entries * points.front().amplitudes.size();
   // Row-wise fan-out: task i owns every (i, j) pair with j > i, so writes
   // are disjoint and the result is identical at any thread count.
-  ThreadPool::Global().RunTasks(xs.size(), [&](size_t i) {
+  FillRows(xs.size(), work, [&](size_t i) {
     gram(i, i) = Complex(1.0, 0.0);
     for (size_t j = i + 1; j < xs.size(); ++j) {
-      const double k = Fidelity(states[i], states[j]);
+      const double k = EncodedFidelity(points[i], points[j]);
       gram(i, j) = Complex(k, 0.0);
       gram(j, i) = Complex(k, 0.0);
     }
   });
   // Off-diagonal upper triangle was computed; the diagonal is free.
-  Counters().entries->Increment(
-      static_cast<long>(xs.size() * (xs.size() - 1) / 2));
+  Counters().entries->Increment(static_cast<long>(entries));
   return gram;
 }
 
@@ -107,44 +211,46 @@ Result<Matrix> FidelityQuantumKernel::CrossMatrix(
   }
   QDB_TRACE_SCOPE("FidelityQuantumKernel::CrossMatrix", "kernel");
   // One batch over train ∪ test so every encoding circuit fans out together.
-  std::vector<DVector> points = train;
-  points.insert(points.end(), test.begin(), test.end());
-  QDB_ASSIGN_OR_RETURN(std::vector<CVector> states, EncodedStates(points));
+  std::vector<DVector> all = train;
+  all.insert(all.end(), test.begin(), test.end());
+  QDB_ASSIGN_OR_RETURN(std::vector<EncodedPoint> points, EncodedStates(all));
   Matrix cross(test.size(), train.size());
-  ThreadPool::Global().RunTasks(test.size(), [&](size_t i) {
-    const CVector& phi = states[train.size() + i];
+  const size_t entries = test.size() * train.size();
+  const size_t work = entries * points.front().amplitudes.size();
+  FillRows(test.size(), work, [&](size_t i) {
+    const EncodedPoint& phi = points[train.size() + i];
     for (size_t j = 0; j < train.size(); ++j) {
-      cross(i, j) = Complex(Fidelity(phi, states[j]), 0.0);
+      cross(i, j) = Complex(EncodedFidelity(phi, points[j]), 0.0);
     }
   });
-  Counters().entries->Increment(
-      static_cast<long>(test.size() * train.size()));
+  Counters().entries->Increment(static_cast<long>(entries));
   return cross;
 }
 
 Result<Matrix> FidelityQuantumKernel::CrossFromEncoded(
     const std::vector<DVector>& test,
-    const std::vector<CVector>& ref_states) const {
-  if (test.empty() || ref_states.empty()) {
+    const std::vector<EncodedPoint>& ref) const {
+  if (test.empty() || ref.empty()) {
     return Status::InvalidArgument("empty data set");
   }
   QDB_TRACE_SCOPE("FidelityQuantumKernel::CrossFromEncoded", "kernel");
-  QDB_ASSIGN_OR_RETURN(std::vector<CVector> states, EncodedStates(test));
-  for (const auto& ref : ref_states) {
-    if (ref.size() != states.front().size()) {
+  QDB_ASSIGN_OR_RETURN(std::vector<EncodedPoint> points, EncodedStates(test));
+  for (const EncodedPoint& r : ref) {
+    if (r.num_qubits != points.front().num_qubits) {
       return Status::InvalidArgument(
           "pre-encoded reference states have a different width than the "
           "encoded test points");
     }
   }
-  Matrix cross(test.size(), ref_states.size());
-  ThreadPool::Global().RunTasks(test.size(), [&](size_t i) {
-    for (size_t j = 0; j < ref_states.size(); ++j) {
-      cross(i, j) = Complex(Fidelity(states[i], ref_states[j]), 0.0);
+  Matrix cross(test.size(), ref.size());
+  const size_t entries = test.size() * ref.size();
+  const size_t work = entries * points.front().amplitudes.size();
+  FillRows(test.size(), work, [&](size_t i) {
+    for (size_t j = 0; j < ref.size(); ++j) {
+      cross(i, j) = Complex(EncodedFidelity(points[i], ref[j]), 0.0);
     }
   });
-  Counters().entries->Increment(
-      static_cast<long>(test.size() * ref_states.size()));
+  Counters().entries->Increment(static_cast<long>(entries));
   return cross;
 }
 

@@ -17,9 +17,35 @@
 
 namespace qdb {
 
-/// \brief Computes fidelity-kernel entries by simulating the encoding
-/// circuit once per data point and overlapping the resulting states (the
-/// exact-simulation analogue of the swap/inversion test on hardware).
+/// \brief One data point's encoded state |φ(x)⟩. An encoding circuit made
+/// only of single-qubit gates prepares a product state, held factored as
+/// one 2-vector per qubit; a circuit with any gate on two or more qubits
+/// keeps the dense 2^n amplitudes.
+struct EncodedPoint {
+  int num_qubits = 0;
+  /// True: `amplitudes` holds 2·num_qubits entries, (⟨0|u_q⟩, ⟨1|u_q⟩) for
+  /// q = 0, 1, … in order. False: the 2^num_qubits state amplitudes.
+  bool factored = false;
+  CVector amplitudes;
+};
+
+/// |⟨a|b⟩|² for two encoded points of one width: |Π_q ⟨a_q|b_q⟩|², the
+/// product taken in qubit order, when both are factored (O(n)); otherwise
+/// the dense overlap Fidelity (linalg/vector_ops.h), a factored side
+/// expanded to its 2^n amplitudes first. Every kernel entry comes from here.
+double EncodedFidelity(const EncodedPoint& a, const EncodedPoint& b);
+
+/// \brief Computes fidelity-kernel entries by encoding every data point
+/// once and overlapping the encoded states (the exact-simulation analogue
+/// of the swap/inversion test on hardware).
+///
+/// The encoding circuit's structure picks the form of each point (see
+/// EncodedPoint): angle encodings fold their gates onto |0⟩ per qubit and
+/// never build a 2^n state, so an entry costs O(n); ZZ-feature-map and
+/// amplitude encodings run on the state-vector simulator. Dense encodings
+/// are compiled privately, never through the global CompilationCache:
+/// each encoding circuit bakes one point's features into its angles, so a
+/// cached program would never be replayed.
 class FidelityQuantumKernel {
  public:
   /// Maps a feature vector to its encoding circuit; all circuits produced
@@ -28,23 +54,21 @@ class FidelityQuantumKernel {
 
   explicit FidelityQuantumKernel(EncodingFn encoder);
 
-  /// Execution-mode override for the underlying simulator. Encoding
-  /// circuits bake data into constant angles, so Gram/Cross fills win from
-  /// fusion; kInterpreted opts a workload out of compilation entirely.
-  void set_execution_mode(ExecutionMode mode) {
-    simulator_.set_execution_mode(mode);
-  }
+  /// kInterpreted runs dense encoding circuits gate by gate; any other mode
+  /// compiles and fuses each one (the default). Factored encodings run no
+  /// circuit, so the mode does not touch them.
+  void set_execution_mode(ExecutionMode mode) { mode_ = mode; }
 
-  /// |φ(x)⟩ as an amplitude vector.
-  Result<CVector> EncodedState(const DVector& x) const;
+  /// |φ(x)⟩ in its encoded form.
+  Result<EncodedPoint> EncodedState(const DVector& x) const;
 
   /// k(x, y) = |⟨φ(x)|φ(y)⟩|² ∈ [0, 1].
   Result<double> Evaluate(const DVector& x, const DVector& y) const;
 
   /// Symmetric Gram matrix K_ij = k(x_i, x_j); unit diagonal by
-  /// construction. Each point is encoded exactly once; encoding circuits
-  /// run as one StateVectorSimulator::RunBatch and the O(m²) fidelity fill
-  /// fans out row-wise across the shared ThreadPool.
+  /// construction. Each point is encoded exactly once, dense encodings in
+  /// one parallel batch, and the O(m²) fidelity fill fans out row-wise
+  /// across the shared ThreadPool.
   Result<Matrix> GramMatrix(const std::vector<DVector>& xs) const;
 
   /// Rectangular kernel K_ij = k(test_i, train_j) for prediction; batched
@@ -52,22 +76,26 @@ class FidelityQuantumKernel {
   Result<Matrix> CrossMatrix(const std::vector<DVector>& test,
                              const std::vector<DVector>& train) const;
 
-  /// Encodes every point in one parallel batch; all states share one width.
-  /// Public so long-lived consumers (the serving layer's kernel models) can
-  /// encode a fixed reference set once and reuse it across requests.
-  Result<std::vector<CVector>> EncodedStates(
+  /// Encodes every point (dense ones in one parallel batch); all points
+  /// share one width. Public so long-lived consumers (the serving layer's
+  /// kernel models) can encode a fixed reference set once and reuse it
+  /// across requests.
+  Result<std::vector<EncodedPoint>> EncodedStates(
       const std::vector<DVector>& xs) const;
 
-  /// CrossMatrix against pre-encoded reference states: encodes only `test`
+  /// CrossMatrix against pre-encoded reference points: encodes only `test`
   /// and fills K_ij = |⟨φ(test_i)|ref_j⟩|². This is the serving hot path —
-  /// a request batch of B points costs B encoding circuits instead of
-  /// B + |ref| as the plain CrossMatrix does.
+  /// a request batch of B points costs B encodings instead of B + |ref| as
+  /// the plain CrossMatrix does.
   Result<Matrix> CrossFromEncoded(const std::vector<DVector>& test,
-                                  const std::vector<CVector>& ref_states) const;
+                                  const std::vector<EncodedPoint>& ref) const;
 
  private:
+  /// Simulates a dense encoding circuit from |0…0⟩ into `point`.
+  Status EncodeDense(const Circuit& circuit, EncodedPoint& point) const;
+
   EncodingFn encoder_;
-  StateVectorSimulator simulator_;
+  ExecutionMode mode_ = ExecutionMode::kAuto;
 };
 
 /// Convenience factories for the standard encodings of E3/E13.

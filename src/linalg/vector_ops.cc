@@ -8,9 +8,18 @@ namespace qdb {
 
 Complex InnerProduct(const CVector& a, const CVector& b) {
   QDB_CHECK_EQ(a.size(), b.size());
-  Complex acc(0.0, 0.0);
-  for (size_t i = 0; i < a.size(); ++i) acc += std::conj(a[i]) * b[i];
-  return acc;
+  // conj(a)·b spelled out in real arithmetic, summed in index order: the
+  // same bits as accumulating std::conj(a[i]) * b[i] for finite inputs,
+  // without the complex multiply's NaN-recovery branch per term.
+  double re = 0.0;
+  double im = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    const double ar = a[i].real(), ai = a[i].imag();
+    const double br = b[i].real(), bi = b[i].imag();
+    re += ar * br + ai * bi;
+    im += ar * bi - ai * br;
+  }
+  return Complex(re, im);
 }
 
 double Norm(const CVector& v) {

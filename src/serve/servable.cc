@@ -247,11 +247,11 @@ size_t ServableModel::ResidentBytes() const {
       bytes += op.exprs.capacity() * sizeof(ParamExpr);
     }
   }
-  // Pre-encoded support-vector states: 2^num_features amplitudes each —
-  // the dominant term for kernel-SVM servables.
-  bytes += sv_states_.capacity() * sizeof(CVector);
-  for (const CVector& state : sv_states_) {
-    bytes += state.capacity() * sizeof(Complex);
+  // Pre-encoded support vectors as held: per-qubit 2-vectors for angle
+  // kernels, 2^num_features amplitudes (the dominant term) for ZZ kernels.
+  bytes += sv_states_.capacity() * sizeof(EncodedPoint);
+  for (const EncodedPoint& point : sv_states_) {
+    bytes += point.amplitudes.capacity() * sizeof(Complex);
   }
   return bytes;
 }
@@ -382,8 +382,8 @@ Status ServableModel::RunInterpreted(const std::vector<DVector>& inputs,
 
 Result<std::vector<InferenceValue>> ServableModel::RunKernel(
     RequestKind kind, const std::vector<DVector>& inputs) const {
-  // One encoding circuit per request point, overlapped against the support
-  // states encoded at load time.
+  // One encoding per request point, overlapped against the support
+  // vectors encoded at load time.
   QDB_ASSIGN_OR_RETURN(Matrix rows,
                        kernel_->CrossFromEncoded(inputs, sv_states_));
   const size_t m = sv_states_.size();

@@ -11,8 +11,11 @@
 /// feature maps are nonlinear in the features (RZZ angles are products), so
 /// they fall back to per-request bound circuits through the batched
 /// simulator. Kernel-SVM servables encode their support vectors once and
-/// answer each request with one encoding circuit plus m state overlaps,
-/// instead of the m + 1 circuits a from-scratch CrossMatrix would run.
+/// answer each request with one encoding plus m overlaps, instead of the
+/// m + 1 encodings a from-scratch CrossMatrix would run. Angle-kernel
+/// encodings are product states, held as one 2-vector per qubit, so a
+/// request costs O(m·n) and builds no 2^n state; ZZ-feature-map kernels
+/// hold and simulate dense 2^n-amplitude states.
 
 #ifndef QDB_SERVE_SERVABLE_H_
 #define QDB_SERVE_SERVABLE_H_
@@ -88,11 +91,12 @@ class ServableModel {
   }
 
   /// Estimated resident heap footprint of this servable — the artifact's
-  /// payload, the compiled program, and the pre-encoded support-vector
-  /// states (2^num_features amplitudes each, usually the dominant term for
-  /// kernel models). The storage tier's memory budget charges this
-  /// estimate; it deliberately counts owned allocations, not malloc
-  /// overhead, so it is a stable lower bound.
+  /// payload, the compiled program, and the pre-encoded support vectors as
+  /// held: 2·num_features amplitudes each for angle kernels, 2^num_features
+  /// for ZZ kernels (the dominant term of those models). The storage
+  /// tier's memory budget charges this estimate; it deliberately counts
+  /// owned allocations, not malloc overhead, so it is a stable lower
+  /// bound.
   size_t ResidentBytes() const;
 
  private:
@@ -116,7 +120,7 @@ class ServableModel {
   std::shared_ptr<const CompiledCircuit> program_;
   /// Kernel-SVM state: the encoder and the pre-encoded support vectors.
   std::optional<FidelityQuantumKernel> kernel_;
-  std::vector<CVector> sv_states_;
+  std::vector<EncodedPoint> sv_states_;
   mutable std::atomic<long> batch_executions_{0};
 };
 

@@ -5,9 +5,13 @@
 #include <cmath>
 
 #include "classical/dataset.h"
+#include "encoding/encodings.h"
 #include "kernel/alignment.h"
 #include "kernel/quantum_kernel.h"
 #include "linalg/eigen.h"
+#include "linalg/vector_ops.h"
+#include "obs/obs.h"
+#include "sim/statevector_simulator.h"
 
 namespace qdb {
 namespace {
@@ -116,6 +120,103 @@ TEST(QuantumKernelTest, CrossFromEncodedMatchesCrossMatrix) {
   // Width mismatch between test encoding and reference states is caught.
   auto bad = kernel.CrossFromEncoded(SmallDataset(2, 3, 11), ref.value());
   EXPECT_FALSE(bad.ok());
+}
+
+// Dense oracle: both points simulated gate by gate on the state-vector
+// simulator and overlapped with Fidelity.
+double DenseFidelity(const Circuit& a, const Circuit& b) {
+  StateVectorSimulator simulator;
+  simulator.set_execution_mode(ExecutionMode::kInterpreted);
+  auto phi_a = simulator.Run(a);
+  auto phi_b = simulator.Run(b);
+  QDB_CHECK(phi_a.ok() && phi_b.ok());
+  return Fidelity(phi_a.value().ToAmplitudes(), phi_b.value().ToAmplitudes());
+}
+
+TEST(QuantumKernelTest, FactoredAngleEntriesMatchDenseOracle) {
+  // Angle encodings are product states: every entry comes from per-qubit
+  // 2-vectors. It must agree with the dense overlap for every rotation
+  // axis (X and Z give complex factors, so a dropped conjugate shows),
+  // several scales, and features beyond 2π.
+  Rng rng(21);
+  std::vector<DVector> xs(5, DVector(3));
+  for (auto& x : xs) {
+    for (auto& v : x) v = rng.Uniform(-3.0 * M_PI, 3.0 * M_PI);
+  }
+  for (RotationAxis axis :
+       {RotationAxis::kX, RotationAxis::kY, RotationAxis::kZ}) {
+    for (double scale : {0.5, 1.0, 3.0}) {
+      const auto encode = [axis, scale](const DVector& x) {
+        return AngleEncoding(x, axis, scale);
+      };
+      FidelityQuantumKernel kernel(encode);
+      auto gram = kernel.GramMatrix(xs);
+      auto cross = kernel.CrossMatrix({xs[0], xs[3]}, xs);
+      ASSERT_TRUE(gram.ok() && cross.ok());
+      for (size_t i = 0; i < xs.size(); ++i) {
+        EXPECT_EQ(gram.value()(i, i).real(), 1.0);
+        for (size_t j = 0; j < xs.size(); ++j) {
+          const double oracle = DenseFidelity(encode(xs[i]), encode(xs[j]));
+          EXPECT_NEAR(gram.value()(i, j).real(), oracle, 1e-13)
+              << "axis " << static_cast<int>(axis) << " scale " << scale;
+          auto k = kernel.Evaluate(xs[i], xs[j]);
+          ASSERT_TRUE(k.ok());
+          EXPECT_NEAR(k.value(), oracle, 1e-13);
+        }
+      }
+      for (size_t j = 0; j < xs.size(); ++j) {
+        EXPECT_NEAR(cross.value()(0, j).real(), gram.value()(0, j).real(),
+                    1e-13);
+        EXPECT_NEAR(cross.value()(1, j).real(), gram.value()(3, j).real(),
+                    1e-13);
+      }
+    }
+  }
+}
+
+TEST(QuantumKernelTest, EncodingFormFollowsCircuitStructure) {
+  // Single-qubit-gate encodings factor per qubit and run no circuit; a ZZ
+  // feature map has two-qubit gates, so it keeps the dense 2^n state.
+  obs::Counter* runs = obs::GetCounter("kernel.circuit_runs");
+  const DVector x = {0.4, 1.3, 2.2};
+
+  const long angle_before = runs->Value();
+  auto angle = MakeAngleKernel().EncodedState(x);
+  ASSERT_TRUE(angle.ok());
+  EXPECT_EQ(runs->Value(), angle_before);
+  EXPECT_TRUE(angle.value().factored);
+  EXPECT_EQ(angle.value().amplitudes.size(), 6u);
+
+  const long zz_before = runs->Value();
+  auto zz = MakeZZFeatureMapKernel().EncodedState(x);
+  ASSERT_TRUE(zz.ok());
+  EXPECT_EQ(runs->Value(), zz_before + 1);
+  EXPECT_FALSE(zz.value().factored);
+  EXPECT_EQ(zz.value().amplitudes.size(), 8u);
+}
+
+TEST(QuantumKernelTest, MixedFactoredAndDensePointsMatchOracle) {
+  // An encoder whose circuit structure depends on the point yields both
+  // forms in one set; a mixed pair expands the factored side.
+  const auto encode = [](const DVector& x) {
+    Circuit c = AngleEncoding(x, RotationAxis::kX, 1.0);
+    if (x[0] > 1.0) c.CX(0, 1).RZ(1, x[1]);
+    return c;
+  };
+  FidelityQuantumKernel kernel(encode);
+  const std::vector<DVector> xs = {{0.3, 2.1}, {1.7, 0.4}, {0.9, -1.2}};
+  auto points = kernel.EncodedStates(xs);
+  ASSERT_TRUE(points.ok());
+  EXPECT_TRUE(points.value()[0].factored);
+  EXPECT_FALSE(points.value()[1].factored);
+  auto gram = kernel.GramMatrix(xs);
+  ASSERT_TRUE(gram.ok());
+  for (size_t i = 0; i < xs.size(); ++i) {
+    for (size_t j = 0; j < xs.size(); ++j) {
+      EXPECT_NEAR(gram.value()(i, j).real(),
+                  DenseFidelity(encode(xs[i]), encode(xs[j])), 1e-13);
+    }
+  }
 }
 
 TEST(QuantumKernelTest, EmptyInputsRejected) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
+#include "common/rng.h"
 #include "linalg/matrix.h"
 #include "linalg/vector_ops.h"
 
@@ -159,6 +162,31 @@ TEST(VectorOpsTest, InnerProductConjugatesFirstArg) {
   CVector a = {Complex(0, 1), Complex(1, 0)};
   CVector b = {Complex(0, 1), Complex(1, 0)};
   EXPECT_EQ(InnerProduct(a, b), Complex(2, 0));
+}
+
+TEST(VectorOpsTest, InnerProductBitIdenticalToComplexFormula) {
+  // The real-arithmetic InnerProduct must reproduce Σ conj(a_i)·b_i summed
+  // with std::complex in index order, bit for bit, on finite inputs of
+  // mixed sign and magnitude.
+  Rng rng(20);
+  for (size_t size : {size_t{1}, size_t{7}, size_t{64}, size_t{4096}}) {
+    CVector a(size), b(size);
+    for (size_t i = 0; i < size; ++i) {
+      const int exponent = static_cast<int>(rng.UniformInt(41)) - 20;
+      const double scale = std::ldexp(1.0, exponent);
+      a[i] = Complex(scale * rng.Uniform(-1.0, 1.0), rng.Uniform(-1.0, 1.0));
+      b[i] = Complex(rng.Uniform(-1.0, 1.0), scale * rng.Uniform(-1.0, 1.0));
+    }
+    Complex expected(0.0, 0.0);
+    for (size_t i = 0; i < size; ++i) expected += std::conj(a[i]) * b[i];
+    const Complex got = InnerProduct(a, b);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.real()),
+              std::bit_cast<uint64_t>(expected.real()))
+        << size;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.imag()),
+              std::bit_cast<uint64_t>(expected.imag()))
+        << size;
+  }
 }
 
 TEST(VectorOpsTest, NormAndNormalize) {

@@ -26,6 +26,7 @@
 #include "serve/model_registry.h"
 #include "serve/result_cache.h"
 #include "serve/servable.h"
+#include "sim/compiled_circuit.h"
 #include "sim/statevector_simulator.h"
 #include "variational/ansatz.h"
 #include "variational/vqc.h"
@@ -309,6 +310,33 @@ TEST(ServableTest, ServedKernelSvmMatchesDirectEvaluation) {
     EXPECT_GE(k, -1e-12);
     EXPECT_LE(k, 1.0 + 1e-12);
   }
+}
+
+TEST(ServableTest, DenseKernelEncodingsBypassCompilationCache) {
+  // Every dense encoding circuit bakes one point's features into its
+  // angles, so it is compiled privately: a ZZ Gram fill and ZZ kernel
+  // requests neither look up nor fill the global cache.
+  ModelArtifact artifact;
+  artifact.type = ModelType::kKernelSvm;
+  artifact.name = "zz-private-compile";
+  artifact.num_features = 3;
+  artifact.kernel_encoding = KernelEncodingKind::kZZFeatureMap;
+  artifact.kernel_reps = 2;
+  artifact.support_vectors.push_back({0.5, {0.1, 0.2, 0.3}});
+  artifact.support_vectors.push_back({-0.5, {1.4, 0.7, 2.9}});
+  const std::vector<DVector> queries = {{0.3, 2.8, 1.0}, {2.9, 0.2, 0.6}};
+
+  const CompilationCache::Stats before = CompilationCache::Global().stats();
+  auto gram = MakeZZFeatureMapKernel(2).GramMatrix(queries);
+  ASSERT_TRUE(gram.ok()) << gram.status();
+  auto servable = ServableModel::Create(artifact);
+  ASSERT_TRUE(servable.ok()) << servable.status();
+  auto out = servable.value()->RunBatch(RequestKind::kPredict, queries);
+  ASSERT_TRUE(out.ok()) << out.status();
+  const CompilationCache::Stats after = CompilationCache::Global().stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.size, before.size);
 }
 
 TEST(ServableTest, FingerprintMismatchIsRejected) {

@@ -480,12 +480,29 @@ TEST_F(StoreFaultTest, TornReadOfBinaryArtifactFailsClosed) {
 
 // ---- ServableModel::ResidentBytes ------------------------------------------
 
-TEST(ResidentBytesTest, KernelServableIsDominatedByEncodedStates) {
-  const int features = 4, svs = 3;
+TEST(ResidentBytesTest, AngleKernelServableChargesFactoredSupportVectors) {
+  // An angle encoding is a product state: each support vector is held as
+  // one 2-vector per qubit, never as 2^features amplitudes.
+  const int features = 10, svs = 3;
   auto servable =
       ServableModel::Create(TinyKernelArtifact("resident", features, svs));
   ASSERT_TRUE(servable.ok()) << servable.status();
-  // Each pre-encoded support vector holds 2^features complex amplitudes.
+  const size_t factored_lower_bound =
+      static_cast<size_t>(svs) * features * 2 * sizeof(Complex);
+  const size_t dense_bytes =
+      static_cast<size_t>(svs) * (1u << features) * sizeof(Complex);
+  EXPECT_GE(servable.value()->ResidentBytes(), factored_lower_bound);
+  EXPECT_LT(servable.value()->ResidentBytes(), dense_bytes);
+}
+
+TEST(ResidentBytesTest, ZzKernelServableIsDominatedByEncodedStates) {
+  const int features = 4, svs = 3;
+  ModelArtifact artifact = TinyKernelArtifact("resident-zz", features, svs);
+  artifact.kernel_encoding = KernelEncodingKind::kZZFeatureMap;
+  auto servable = ServableModel::Create(artifact);
+  ASSERT_TRUE(servable.ok()) << servable.status();
+  // A ZZ feature map entangles, so each pre-encoded support vector holds
+  // 2^features complex amplitudes.
   const size_t states_lower_bound =
       static_cast<size_t>(svs) * (1u << features) * sizeof(Complex);
   EXPECT_GE(servable.value()->ResidentBytes(), states_lower_bound);
