@@ -137,29 +137,38 @@ BENCHMARK(BM_GramMatrixCost)
     ->Unit(benchmark::kMillisecond);
 
 void BM_GramMatrixCompiledVsInterpreted(benchmark::State& state) {
-  // The same Gram fill with the encoding circuits interpreted per gate
-  // (mode 0) vs compiled+fused (mode 1). Each data point bakes its features
-  // into a distinct circuit, so the win here comes from fusion shrinking
-  // the number of state sweeps, not from cache replay.
+  // The same ZZ Gram fill with the encoding circuits interpreted per gate
+  // (mode 0), compiled+fused (mode 1) or left to the default (mode 2), at
+  // 2 and 12 qubits. Each data point bakes its features into a distinct
+  // circuit that is compiled privately for its one run, so the compiled
+  // side wins only where fusion saves more sweeps than the compile costs:
+  // not at 2 qubits, but at 12. The default picks by width and should
+  // track the faster side at both.
   const int m = 48;
-  const bool compiled = state.range(0) != 0;
+  const int mode = static_cast<int>(state.range(0));
+  const int qubits = static_cast<int>(state.range(1));
   Rng rng(13);
-  Dataset data = MakeCircles(m, 0.08, 0.5, rng);
-  MinMaxScale(data, data, 0.0, M_PI);
+  std::vector<DVector> xs(m, DVector(qubits));
+  for (DVector& x : xs) {
+    for (double& v : x) v = rng.Uniform(0.0, M_PI);
+  }
   FidelityQuantumKernel kernel = MakeZZFeatureMapKernel(2);
-  kernel.set_execution_mode(compiled ? ExecutionMode::kCompiled
-                                     : ExecutionMode::kInterpreted);
+  const ExecutionMode modes[] = {ExecutionMode::kInterpreted,
+                                 ExecutionMode::kCompiled,
+                                 ExecutionMode::kAuto};
+  kernel.set_execution_mode(modes[mode]);
   for (auto _ : state) {
-    auto gram = kernel.GramMatrix(data.features);
+    auto gram = kernel.GramMatrix(xs);
     benchmark::DoNotOptimize(gram);
   }
-  state.SetLabel(compiled ? "compiled" : "interpreted");
+  const char* labels[] = {"interpreted", "compiled", "auto"};
+  state.SetLabel(labels[mode]);
   state.counters["samples"] = m;
+  state.counters["qubits"] = qubits;
 }
 
 BENCHMARK(BM_GramMatrixCompiledVsInterpreted)
-    ->Arg(0)
-    ->Arg(1)
+    ->ArgsProduct({{0, 1, 2}, {2, 12}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -29,10 +29,10 @@ struct EncodedPoint {
   CVector amplitudes;
 };
 
-/// |⟨a|b⟩|² for two encoded points of one width: |Π_q ⟨a_q|b_q⟩|², the
-/// product taken in qubit order, when both are factored (O(n)); otherwise
-/// the dense overlap Fidelity (linalg/vector_ops.h), a factored side
-/// expanded to its 2^n amplitudes first. Every kernel entry comes from here.
+/// |⟨a|b⟩|² for two encoded points of one width and one form:
+/// |Π_q ⟨a_q|b_q⟩|², the product taken in qubit order, when both are
+/// factored (O(n)); the dense overlap Fidelity (linalg/vector_ops.h) when
+/// both are dense. Every kernel entry comes from here.
 double EncodedFidelity(const EncodedPoint& a, const EncodedPoint& b);
 
 /// \brief Computes fidelity-kernel entries by encoding every data point
@@ -42,9 +42,11 @@ double EncodedFidelity(const EncodedPoint& a, const EncodedPoint& b);
 /// The encoding circuit's structure picks the form of each point (see
 /// EncodedPoint): angle encodings fold their gates onto |0⟩ per qubit and
 /// never build a 2^n state, so an entry costs O(n); ZZ-feature-map and
-/// amplitude encodings run on the state-vector simulator. Dense encodings
-/// are compiled privately, never through the global CompilationCache:
-/// each encoding circuit bakes one point's features into its angles, so a
+/// amplitude encodings run on the state-vector simulator. All points of one
+/// kernel must take the same form; an encoder whose gate list is
+/// single-qubit for some points and entangling for others is rejected.
+/// Dense encodings never go through the global CompilationCache: each
+/// encoding circuit bakes one point's features into its angles, so a
 /// cached program would never be replayed.
 class FidelityQuantumKernel {
  public:
@@ -54,9 +56,11 @@ class FidelityQuantumKernel {
 
   explicit FidelityQuantumKernel(EncodingFn encoder);
 
-  /// kInterpreted runs dense encoding circuits gate by gate; any other mode
-  /// compiles and fuses each one (the default). Factored encodings run no
-  /// circuit, so the mode does not touch them.
+  /// How dense encoding circuits run: kInterpreted gate by gate, kCompiled
+  /// compiled and fused privately, kAuto (the default) compiled from 12
+  /// qubits on and interpreted below, where a one-shot compile costs more
+  /// than fusion saves. QDB_COMPILE does not reach them. Factored encodings
+  /// run no circuit, so the mode does not touch them.
   void set_execution_mode(ExecutionMode mode) { mode_ = mode; }
 
   /// |φ(x)⟩ in its encoded form.
@@ -77,9 +81,9 @@ class FidelityQuantumKernel {
                              const std::vector<DVector>& train) const;
 
   /// Encodes every point (dense ones in one parallel batch); all points
-  /// share one width. Public so long-lived consumers (the serving layer's
-  /// kernel models) can encode a fixed reference set once and reuse it
-  /// across requests.
+  /// share one width and one form. Public so long-lived consumers (the
+  /// serving layer's kernel models) can encode a fixed reference set once
+  /// and reuse it across requests.
   Result<std::vector<EncodedPoint>> EncodedStates(
       const std::vector<DVector>& xs) const;
 

@@ -195,26 +195,47 @@ TEST(QuantumKernelTest, EncodingFormFollowsCircuitStructure) {
   EXPECT_EQ(zz.value().amplitudes.size(), 8u);
 }
 
-TEST(QuantumKernelTest, MixedFactoredAndDensePointsMatchOracle) {
-  // An encoder whose circuit structure depends on the point yields both
-  // forms in one set; a mixed pair expands the factored side.
+TEST(QuantumKernelTest, MixedEncodingFormsAreRejected) {
+  // An encoder whose gate list is single-qubit for some points and
+  // entangling for others would mix factored and dense points in one set.
   const auto encode = [](const DVector& x) {
     Circuit c = AngleEncoding(x, RotationAxis::kX, 1.0);
     if (x[0] > 1.0) c.CX(0, 1).RZ(1, x[1]);
     return c;
   };
   FidelityQuantumKernel kernel(encode);
-  const std::vector<DVector> xs = {{0.3, 2.1}, {1.7, 0.4}, {0.9, -1.2}};
-  auto points = kernel.EncodedStates(xs);
-  ASSERT_TRUE(points.ok());
-  EXPECT_TRUE(points.value()[0].factored);
-  EXPECT_FALSE(points.value()[1].factored);
-  auto gram = kernel.GramMatrix(xs);
-  ASSERT_TRUE(gram.ok());
-  for (size_t i = 0; i < xs.size(); ++i) {
-    for (size_t j = 0; j < xs.size(); ++j) {
-      EXPECT_NEAR(gram.value()(i, j).real(),
-                  DenseFidelity(encode(xs[i]), encode(xs[j])), 1e-13);
+  const std::vector<DVector> factored = {{0.3, 2.1}, {0.9, -1.2}};
+  const std::vector<DVector> mixed = {{0.3, 2.1}, {1.7, 0.4}};
+  EXPECT_FALSE(kernel.GramMatrix(mixed).ok());
+  EXPECT_FALSE(kernel.CrossMatrix({{1.7, 0.4}}, factored).ok());
+  EXPECT_FALSE(kernel.Evaluate({0.3, 2.1}, {1.7, 0.4}).ok());
+  auto ref = kernel.EncodedStates(factored);
+  ASSERT_TRUE(ref.ok());
+  EXPECT_FALSE(kernel.CrossFromEncoded({{1.7, 0.4}}, ref.value()).ok());
+  EXPECT_TRUE(kernel.CrossFromEncoded({{0.5, 0.4}}, ref.value()).ok());
+}
+
+TEST(QuantumKernelTest, DenseEncodingsCompileOnlyWhenWide) {
+  // kAuto interprets narrow dense encodings (a one-shot compile costs more
+  // than fusion saves there) and compiles wide ones; both are compared
+  // bitwise against the explicit modes.
+  for (int n : {3, 12}) {
+    DVector x(n);
+    for (int q = 0; q < n; ++q) x[q] = 0.37 * (q + 1);
+    FidelityQuantumKernel automatic = MakeZZFeatureMapKernel(2);
+    FidelityQuantumKernel interpreted = MakeZZFeatureMapKernel(2);
+    interpreted.set_execution_mode(ExecutionMode::kInterpreted);
+    FidelityQuantumKernel compiled = MakeZZFeatureMapKernel(2);
+    compiled.set_execution_mode(ExecutionMode::kCompiled);
+    auto a = automatic.EncodedState(x);
+    auto i = interpreted.EncodedState(x);
+    auto c = compiled.EncodedState(x);
+    ASSERT_TRUE(a.ok() && i.ok() && c.ok());
+    const CVector& expected =
+        n >= 12 ? c.value().amplitudes : i.value().amplitudes;
+    ASSERT_EQ(a.value().amplitudes.size(), expected.size());
+    for (size_t k = 0; k < expected.size(); ++k) {
+      ASSERT_EQ(a.value().amplitudes[k], expected[k]) << n << " qubits, " << k;
     }
   }
 }

@@ -238,5 +238,42 @@ TEST(SimParallelTest, GramMatrixBitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(SimParallelTest, DenseGramMatrixBitIdenticalAcrossThreadCounts) {
+  // A ZZ feature map entangles, so every point runs its encoding circuit
+  // and each entry overlaps two 2^8-amplitude states: the encoding batch
+  // and the row fill both fan out at 4 threads.
+  const FidelityQuantumKernel kernel = MakeZZFeatureMapKernel(2);
+  std::vector<DVector> xs(12, DVector(8));
+  for (size_t i = 0; i < xs.size(); ++i) {
+    for (size_t q = 0; q < 8; ++q) xs[i][q] = 0.13 * (i + 1) + 0.29 * q;
+  }
+
+  ThreadPool::SetGlobalThreads(1);
+  auto serial = kernel.GramMatrix(xs);
+  ASSERT_TRUE(serial.ok());
+  auto serial_cross = kernel.CrossMatrix({xs[2], xs[7]}, xs);
+  ASSERT_TRUE(serial_cross.ok());
+
+  ScopedThreads threads(4);
+  auto parallel = kernel.GramMatrix(xs);
+  ASSERT_TRUE(parallel.ok());
+  auto parallel_cross = kernel.CrossMatrix({xs[2], xs[7]}, xs);
+  ASSERT_TRUE(parallel_cross.ok());
+
+  for (size_t i = 0; i < xs.size(); ++i) {
+    EXPECT_EQ(serial.value()(i, i).real(), 1.0);
+    for (size_t j = 0; j < xs.size(); ++j) {
+      EXPECT_EQ(serial.value()(i, j), parallel.value()(i, j))
+          << "entry " << i << "," << j;
+    }
+  }
+  for (size_t i = 0; i < 2; ++i) {
+    for (size_t j = 0; j < xs.size(); ++j) {
+      EXPECT_EQ(serial_cross.value()(i, j), parallel_cross.value()(i, j))
+          << "cross entry " << i << "," << j;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace qdb
