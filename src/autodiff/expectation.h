@@ -52,13 +52,6 @@ class ExpectationFunction {
   /// Starts runs from `state` instead of |0...0⟩ (width must match).
   void set_initial_state(StateVector state);
 
-  /// Execution-mode override for the underlying simulator: training loops
-  /// and shift-rule batches re-execute one circuit structure, so compiled
-  /// replay (the kAuto default) amortizes lowering across every evaluation.
-  void set_execution_mode(ExecutionMode mode) {
-    simulator_.set_execution_mode(mode);
-  }
-
   const Circuit& circuit() const { return circuit_; }
   const PauliSum& observable() const { return observable_; }
   int num_parameters() const { return circuit_.num_parameters(); }

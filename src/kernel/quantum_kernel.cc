@@ -26,9 +26,9 @@ KernelCounters& Counters() {
 }
 
 /// From this width on a dense encoding circuit is compiled (privately)
-/// before it runs; below it the circuit is interpreted gate by gate. Each
+/// before it runs; below it the circuit is streamed gate by gate. Each
 /// circuit runs once, so fusion must earn the compile back within one run.
-/// Compiled over interpreted time per ZZ feature map (reps 2, one thread,
+/// Compiled over streamed time per ZZ feature map (reps 2, one thread,
 /// 4-core host): 3.0/2.3/1.7/1.2 at 2/4/8/10 qubits, 0.9/0.85 at 12/14.
 constexpr int kCompileEncodingFromQubits = 12;
 
@@ -99,16 +99,10 @@ FidelityQuantumKernel::FidelityQuantumKernel(EncodingFn encoder)
 Status FidelityQuantumKernel::EncodeDense(const Circuit& circuit,
                                           EncodedPoint& point) const {
   StateVector state(circuit.num_qubits());
-  const bool compile =
-      mode_ == ExecutionMode::kCompiled ||
-      (mode_ == ExecutionMode::kAuto &&
-       circuit.num_qubits() >= kCompileEncodingFromQubits);
-  if (compile) {
+  if (circuit.num_qubits() >= kCompileEncodingFromQubits) {
     QDB_RETURN_IF_ERROR(CompiledCircuit::Compile(circuit).Execute(state));
   } else {
-    StateVectorSimulator simulator;
-    simulator.set_execution_mode(ExecutionMode::kInterpreted);
-    QDB_RETURN_IF_ERROR(simulator.RunInPlace(circuit, state));
+    QDB_RETURN_IF_ERROR(StateVectorSimulator().RunStreamed(circuit, state));
   }
   point.num_qubits = circuit.num_qubits();
   point.factored = false;

@@ -56,13 +56,6 @@ class FidelityQuantumKernel {
 
   explicit FidelityQuantumKernel(EncodingFn encoder);
 
-  /// How dense encoding circuits run: kInterpreted gate by gate, kCompiled
-  /// compiled and fused privately, kAuto (the default) compiled from 12
-  /// qubits on and interpreted below, where a one-shot compile costs more
-  /// than fusion saves. QDB_COMPILE does not reach them. Factored encodings
-  /// run no circuit, so the mode does not touch them.
-  void set_execution_mode(ExecutionMode mode) { mode_ = mode; }
-
   /// |φ(x)⟩ in its encoded form.
   Result<EncodedPoint> EncodedState(const DVector& x) const;
 
@@ -95,11 +88,12 @@ class FidelityQuantumKernel {
                                   const std::vector<EncodedPoint>& ref) const;
 
  private:
-  /// Simulates a dense encoding circuit from |0…0⟩ into `point`.
+  /// Simulates a dense encoding circuit from |0…0⟩ into `point`: streamed
+  /// gate by gate below 12 qubits, where a one-shot compile costs more than
+  /// fusion saves, and compiled and fused privately from 12 on.
   Status EncodeDense(const Circuit& circuit, EncodedPoint& point) const;
 
   EncodingFn encoder_;
-  ExecutionMode mode_ = ExecutionMode::kAuto;
 };
 
 /// Convenience factories for the standard encodings of E3/E13.

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/rng.h"
+#include "common/hash.h"
 #include "common/strings.h"
 #include "fault/fault_injector.h"
 #include "obs/labels.h"

@@ -61,7 +61,7 @@
 /// (fault/circuit_breaker.h) sheds load for a model whose batches keep
 /// failing, and the degradation ladder kicks in under breaker-open or
 /// queue pressure: bounded-staleness cache serving, shrunken coalescing
-/// windows, and (inside ServableModel) compiled→interpreted fallback.
+/// windows, and (inside ServableModel) compiled→streamed fallback.
 
 #ifndef QDB_SERVE_INFERENCE_SERVER_H_
 #define QDB_SERVE_INFERENCE_SERVER_H_

@@ -3,6 +3,7 @@
 #include <sstream>
 #include <string_view>
 
+#include "common/hash.h"
 #include "common/strings.h"
 #include "serve/servable.h"
 #include "store/binary_format.h"
@@ -183,15 +184,6 @@ const char* ModelTypeName(ModelType type) {
   return "vqc";
 }
 
-uint64_t Fnv1a64(const std::string& bytes) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 std::string ModelArtifact::Serialize() const {
   std::string body = StrCat(kMagic, " format ", kFormatVersion, "\n");
   body += StrCat("type ", ModelTypeName(type), "\n");
@@ -290,22 +282,17 @@ Result<ModelArtifact> ModelArtifact::Deserialize(const std::string& text) {
     }
   }
 
-  // Hash and line-split the body [0, final_start) in a single walk.
+  if (stored != Fnv1a64(std::string_view(text).substr(0, final_start))) {
+    return Status::InvalidArgument(
+        "artifact corrupted: checksum mismatch (file damaged or edited)");
+  }
   std::vector<std::string> lines;
-  uint64_t hash = 1469598103934665603ull;
   size_t line_start = 0;
   for (size_t i = 0; i < final_start; ++i) {
-    const unsigned char c = static_cast<unsigned char>(text[i]);
-    hash ^= c;
-    hash *= 1099511628211ull;
-    if (c == '\n') {
+    if (text[i] == '\n') {
       lines.emplace_back(text, line_start, i - line_start);
       line_start = i + 1;
     }
-  }
-  if (stored != hash) {
-    return Status::InvalidArgument(
-        "artifact corrupted: checksum mismatch (file damaged or edited)");
   }
   LineReader reader(std::move(lines));
 

@@ -120,9 +120,6 @@ ModelArtifact MakeKernelSvmArtifact(const Svm& svm, const Dataset& train,
 ModelArtifact MakeQuboConfigArtifact(
     std::vector<std::pair<std::string, std::string>> config, std::string name);
 
-/// FNV-1a over a byte string (exposed for fingerprint tests).
-uint64_t Fnv1a64(const std::string& bytes);
-
 }  // namespace serve
 }  // namespace qdb
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "common/hash.h"
 #include "common/strings.h"
 #include "fault/fault_injector.h"
 #include "obs/obs.h"

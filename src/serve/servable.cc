@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/hash.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "encoding/encodings.h"
@@ -320,8 +321,8 @@ Result<std::vector<InferenceValue>> ServableModel::RunVariational(
   if (!use_compiled) {
     if (program_ != nullptr) {
       // The compiled path exists but faulted: serve the batch through the
-      // interpreted per-request circuits instead of failing it. (For ZZ
-      // models the interpreted path is the normal path, not degradation.)
+      // streamed per-request circuits instead of failing it. (For ZZ models
+      // the streamed path is the normal path, not degradation.)
       static obs::Counter* fallbacks =
           obs::GetCounter("serve.degraded.interpreted_fallbacks");
       static obs::CounterFamily* fallbacks_by_model =
@@ -362,22 +363,27 @@ Status ServableModel::RunInterpreted(const std::vector<DVector>& inputs,
                                      std::vector<InferenceValue>& out) const {
   // Per-request bound circuits: the only option for ZZ feature maps (the
   // map is nonlinear in x) and the fallback when compiled execution
-  // faults. Interpreted execution keeps these one-shot circuits out of the
-  // compilation cache (every distinct input would be a new entry and evict
-  // programs that will actually be reused).
+  // faults. Each bound circuit runs once, so it is streamed gate by gate
+  // through the simulator's one lowering and dispatch rather than compiled:
+  // a cached program per distinct input would never be replayed and would
+  // evict programs that are. Amplitudes match an unfused compile bit for
+  // bit. Fault point "sim.run" fails or delays the batch like any
+  // simulator batch.
   std::vector<Circuit> circuits;
   circuits.reserve(inputs.size());
   for (const auto& x : inputs) {
     QDB_ASSIGN_OR_RETURN(Circuit c, BuildBoundInferenceCircuit(artifact_, x));
     circuits.push_back(std::move(c));
   }
-  StateVectorSimulator simulator;
-  simulator.set_execution_mode(ExecutionMode::kInterpreted);
-  return simulator.RunBatchReduce(
-      circuits, {}, nullptr, [&out](size_t i, StateVector&& state) {
-        out[i].value = ExpectationZ(state, 0);
-        return Status::OK();
-      });
+  QDB_FAULT_POINT("sim.run");
+  std::vector<Status> statuses(circuits.size());
+  ThreadPool::Global().RunTasks(circuits.size(), [&](size_t i) {
+    StateVector state(circuits[i].num_qubits());
+    statuses[i] = StateVectorSimulator().RunStreamed(circuits[i], state);
+    if (statuses[i].ok()) out[i].value = ExpectationZ(state, 0);
+  });
+  for (const auto& status : statuses) QDB_RETURN_IF_ERROR(status);
+  return Status::OK();
 }
 
 Result<std::vector<InferenceValue>> ServableModel::RunKernel(

@@ -107,8 +107,8 @@ class ServableModel {
   /// Compiled symbolic-program path (program_ must be non-null).
   Status RunCompiled(const std::vector<DVector>& inputs,
                      std::vector<InferenceValue>& out) const;
-  /// Interpreted per-request-bound-circuit path: the ZZ default, and the
-  /// degradation fallback when the compiled path faults.
+  /// Per-request bound circuits, streamed gate by gate: the ZZ default, and
+  /// the degradation fallback when the compiled path faults.
   Status RunInterpreted(const std::vector<DVector>& inputs,
                         std::vector<InferenceValue>& out) const;
   Result<std::vector<InferenceValue>> RunKernel(

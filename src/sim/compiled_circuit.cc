@@ -19,8 +19,8 @@ namespace qdb {
 namespace {
 
 /// Compilation and replay counters. compile.*/fusion.* track the one-time
-/// lowering work; the sim.gates.* family is shared with the interpreter so
-/// per-kernel-class dashboards stay meaningful across execution modes.
+/// lowering work; the sim.gates.* family counts every applied op, replayed
+/// or streamed, by kernel class.
 struct CompiledCounters {
   obs::Counter* circuits = obs::GetCounter("compile.circuits");
   obs::Counter* source_gates = obs::GetCounter("compile.source_gates");
@@ -49,6 +49,9 @@ struct CompiledCounters {
   obs::Counter* generic_kq = obs::GetCounter("sim.gates.generic_kq");
   obs::Counter* diagonal_run = obs::GetCounter("sim.gates.diagonal_run");
   obs::Counter* product_state = obs::GetCounter("sim.gates.product_state");
+  /// Amplitudes read-modify-written across all applied ops (the
+  /// simulator's memory-traffic proxy: diagonal and generic kernels touch
+  /// every amplitude; controlled / swap kernels touch half).
   obs::Counter* amplitude_touches = obs::GetCounter("sim.amplitude_touches");
 };
 
@@ -70,12 +73,11 @@ bool IsControlled2QForm(GateType type) {
   }
 }
 
-/// Computes the kernel kind and payload for a bound arity-1/2 gate. Mirrors
-/// the dispatch ladder of StateVectorSimulator::ApplyGate exactly, so a
-/// program compiled without fusion issues the same kernel calls with the
-/// same matrix entries as the interpreter.
+/// Computes the kernel kind and payload for a bound arity-1/2 gate: diagonal
+/// gates get the diagonal kernels, the controlled two-qubit forms their 2x2
+/// block, everything else the dense 2x2 or 4x4.
 void LowerBound(GateType type, const DVector& angles, CompiledOp* op) {
-  const Matrix u = GateMatrix(type, angles);
+  Matrix u = GateMatrix(type, angles);
   const int arity = GateArity(type);
   if (arity == 1) {
     if (IsDiagonalGate(type)) {
@@ -96,79 +98,82 @@ void LowerBound(GateType type, const DVector& angles, CompiledOp* op) {
     op->c = {u(2, 2), u(2, 3), u(3, 2), u(3, 3)};
   } else {
     op->kind = CompiledOpKind::k2QDense;
-    op->m = u;
+    op->m = std::move(u);
   }
+}
+
+/// Lowers `gate`, its angles bound to `angles`, into `op`: the one gate →
+/// kernel ladder, shared by compilation (constant gates) and streaming
+/// execution (StreamGate). Returns false for identities, which lower to
+/// nothing.
+bool LowerBoundGate(const Gate& gate, const DVector& angles, CompiledOp* op) {
+  op->src = gate.type;
+  switch (gate.type) {
+    case GateType::kI:
+      return false;
+    case GateType::kMCX:
+    case GateType::kMCZ:
+      op->kind = gate.type == GateType::kMCX ? CompiledOpKind::kMCX
+                                             : CompiledOpKind::kMCZ;
+      op->qubits.assign(gate.qubits.begin(), gate.qubits.end() - 1);
+      op->q0 = gate.qubits.back();
+      return true;
+    case GateType::kSwap:
+      op->kind = CompiledOpKind::kSwap;
+      op->q0 = gate.qubits[0];
+      op->q1 = gate.qubits[1];
+      return true;
+    case GateType::kCX:
+      op->kind = CompiledOpKind::kControlled1Q;
+      op->q0 = gate.qubits[0];
+      op->q1 = gate.qubits[1];
+      op->c = {Complex(0, 0), Complex(1, 0), Complex(1, 0), Complex(0, 0)};
+      return true;
+    case GateType::kCZ:
+      op->kind = CompiledOpKind::k2QDiag;
+      op->q0 = gate.qubits[0];
+      op->q1 = gate.qubits[1];
+      op->c = {Complex(1, 0), Complex(1, 0), Complex(1, 0), Complex(-1, 0)};
+      return true;
+    default:
+      break;
+  }
+  if (gate.qubits.size() > 2) {
+    // CCX / CSwap: the generic k-qubit kernel.
+    op->kind = CompiledOpKind::kKQDense;
+    op->qubits = gate.qubits;
+    op->m = GateMatrix(gate.type, angles);
+    return true;
+  }
+  op->q0 = gate.qubits[0];
+  if (gate.qubits.size() == 2) op->q1 = gate.qubits[1];
+  LowerBound(gate.type, angles, op);
+  return true;
 }
 
 /// Lowers one gate (constant payloads baked, parametric gates kept symbolic)
 /// and appends the resulting op, or nothing for identities.
 void LowerGate(const Gate& gate, std::vector<CompiledOp>& out) {
-  CompiledOp op;
-  op.src = gate.type;
-  switch (gate.type) {
-    case GateType::kI:
-      return;  // The interpreter skips identities too.
-    case GateType::kMCX:
-      op.kind = CompiledOpKind::kMCX;
-      op.qubits.assign(gate.qubits.begin(), gate.qubits.end() - 1);
-      op.q0 = gate.qubits.back();
-      out.push_back(std::move(op));
-      return;
-    case GateType::kMCZ:
-      op.kind = CompiledOpKind::kMCZ;
-      op.qubits.assign(gate.qubits.begin(), gate.qubits.end() - 1);
-      op.q0 = gate.qubits.back();
-      out.push_back(std::move(op));
-      return;
-    case GateType::kSwap:
-      op.kind = CompiledOpKind::kSwap;
-      op.q0 = gate.qubits[0];
-      op.q1 = gate.qubits[1];
-      out.push_back(std::move(op));
-      return;
-    case GateType::kCX:
-      op.kind = CompiledOpKind::kControlled1Q;
-      op.q0 = gate.qubits[0];
-      op.q1 = gate.qubits[1];
-      op.c = {Complex(0, 0), Complex(1, 0), Complex(1, 0), Complex(0, 0)};
-      out.push_back(std::move(op));
-      return;
-    case GateType::kCZ:
-      op.kind = CompiledOpKind::k2QDiag;
-      op.q0 = gate.qubits[0];
-      op.q1 = gate.qubits[1];
-      op.c = {Complex(1, 0), Complex(1, 0), Complex(1, 0), Complex(-1, 0)};
-      out.push_back(std::move(op));
-      return;
-    default:
-      break;
-  }
-  if (gate.qubits.size() > 2) {
-    // CCX / CSwap: the interpreter's generic k-qubit fallback.
-    op.kind = CompiledOpKind::kKQDense;
-    op.qubits = gate.qubits;
-    op.m = GateMatrix(gate.type, {});
-    out.push_back(std::move(op));
-    return;
-  }
-  op.q0 = gate.qubits[0];
-  if (gate.qubits.size() == 2) op.q1 = gate.qubits[1];
   bool parametric = false;
   for (const ParamExpr& p : gate.params) parametric |= !p.is_constant();
+  CompiledOp op;
   if (parametric) {
     // Thin angle → payload evaluator: kind is resolved at replay time from
     // the same LowerBound ladder, with angles bound from the parameter
     // vector. Stash a provisional kind so the op is not mistaken for a Nop.
+    op.src = gate.type;
+    op.q0 = gate.qubits[0];
+    if (gate.qubits.size() == 2) op.q1 = gate.qubits[1];
     op.exprs = gate.params;
     op.kind = GateArity(gate.type) == 1 ? CompiledOpKind::k1QDense
                                         : CompiledOpKind::k2QDense;
-  } else {
-    DVector angles;
-    angles.reserve(gate.params.size());
-    for (const ParamExpr& p : gate.params) angles.push_back(p.offset);
-    LowerBound(gate.type, angles, &op);
+    out.push_back(std::move(op));
+    return;
   }
-  out.push_back(std::move(op));
+  DVector angles;
+  angles.reserve(gate.params.size());
+  for (const ParamExpr& p : gate.params) angles.push_back(p.offset);
+  if (LowerBoundGate(gate, angles, &op)) out.push_back(std::move(op));
 }
 
 // ---- Fusion helpers ---------------------------------------------------------
@@ -569,7 +574,7 @@ CompiledOp BindDiagonalRun(const CompiledOp& op, const DVector& params) {
 }
 
 /// Binds a thin parametric evaluator: its angles from `params`, its payload
-/// through the same lowering ladder the interpreter's dispatch follows.
+/// through the same LowerBound ladder constant gates take.
 CompiledOp BindGate(const CompiledOp& op, const DVector& params) {
   DVector angles;
   angles.reserve(op.exprs.size());
@@ -856,8 +861,65 @@ void ExecuteTiledRun(const std::vector<const CompiledOp*>& run,
   });
 }
 
-/// Per-op metric increments shared by the tiled and op-at-a-time replay
-/// paths (mirrors the interpreter's tallies).
+/// Applies one resolved op to the whole state: the op → kernel dispatch for
+/// replay's ops outside tiled runs and for every streamed gate. Forced inline
+/// so Execute's loop keeps the switch in place.
+[[gnu::always_inline]] inline void ApplyOp(const CompiledOp& op,
+                                           StateVector& state) {
+  switch (op.kind) {
+    case CompiledOpKind::kNop:
+      break;
+    case CompiledOpKind::k1QDense:
+      state.Apply1Q(op.q0, op.c[0], op.c[1], op.c[2], op.c[3]);
+      break;
+    case CompiledOpKind::k1QDiag:
+      state.ApplyDiagonal1Q(op.q0, op.c[0], op.c[1]);
+      break;
+    case CompiledOpKind::kControlled1Q:
+      state.ApplyControlled1Q(op.q0, op.q1, op.c[0], op.c[1], op.c[2],
+                              op.c[3]);
+      break;
+    case CompiledOpKind::k2QDiag:
+      state.ApplyDiagonal2Q(op.q0, op.q1, op.c[0], op.c[1], op.c[2], op.c[3]);
+      break;
+    case CompiledOpKind::k2QDense:
+      state.Apply2Q(op.q0, op.q1, op.m);
+      break;
+    case CompiledOpKind::kSwap:
+      state.ApplySwap(op.q0, op.q1);
+      break;
+    case CompiledOpKind::kMCX:
+      state.ApplyMCX(op.qubits, op.q0);
+      break;
+    case CompiledOpKind::kMCZ:
+      state.ApplyMCZ(op.qubits, op.q0);
+      break;
+    case CompiledOpKind::kKQDense:
+      state.ApplyKQ(op.qubits, op.m);
+      break;
+    case CompiledOpKind::kDiagonalRun:
+      state.ApplyWalshPhase(op.walsh);
+      break;
+    case CompiledOpKind::kProductState: {
+      const int n = state.num_qubits();
+      double* re = state.reals();
+      double* im = state.imags();
+      const simd::SimdLevel lvl = simd::ActiveSimdLevel();
+      const auto write = [&](uint64_t b, uint64_t e) {
+        ApplyProductStateRange(op, n, re, im, b, e, lvl);
+      };
+      if (state.dim() >= kParallelAmplitudeThreshold) {
+        ThreadPool::Global().ParallelFor(0, state.dim(), write);
+      } else {
+        write(0, state.dim());
+      }
+      break;
+    }
+  }
+}
+
+/// Per-op metric increments shared by the tiled and op-at-a-time replay paths
+/// and streamed gates.
 void CountOp(const CompiledOp& op, long dim, CompiledCounters& counters) {
   switch (op.kind) {
     case CompiledOpKind::kNop:
@@ -912,6 +974,13 @@ void CountOp(const CompiledOp& op, long dim, CompiledCounters& counters) {
 }
 
 }  // namespace
+
+void StreamGate(const Gate& gate, const DVector& angles, StateVector& state) {
+  CompiledOp op;
+  if (!LowerBoundGate(gate, angles, &op)) return;
+  ApplyOp(op, state);
+  CountOp(op, static_cast<long>(state.dim()), Counters());
+}
 
 CompiledCircuit CompiledCircuit::Compile(const Circuit& circuit,
                                          const CompileOptions& options) {
@@ -1035,56 +1104,7 @@ Status CompiledCircuit::ExecuteWithTileBits(StateVector& state,
         continue;
       }
     }
-    switch (op->kind) {
-      case CompiledOpKind::kNop:
-        break;
-      case CompiledOpKind::k1QDense:
-        state.Apply1Q(op->q0, op->c[0], op->c[1], op->c[2], op->c[3]);
-        break;
-      case CompiledOpKind::k1QDiag:
-        state.ApplyDiagonal1Q(op->q0, op->c[0], op->c[1]);
-        break;
-      case CompiledOpKind::kControlled1Q:
-        state.ApplyControlled1Q(op->q0, op->q1, op->c[0], op->c[1], op->c[2],
-                                op->c[3]);
-        break;
-      case CompiledOpKind::k2QDiag:
-        state.ApplyDiagonal2Q(op->q0, op->q1, op->c[0], op->c[1], op->c[2],
-                              op->c[3]);
-        break;
-      case CompiledOpKind::k2QDense:
-        state.Apply2Q(op->q0, op->q1, op->m);
-        break;
-      case CompiledOpKind::kSwap:
-        state.ApplySwap(op->q0, op->q1);
-        break;
-      case CompiledOpKind::kMCX:
-        state.ApplyMCX(op->qubits, op->q0);
-        break;
-      case CompiledOpKind::kMCZ:
-        state.ApplyMCZ(op->qubits, op->q0);
-        break;
-      case CompiledOpKind::kKQDense:
-        state.ApplyKQ(op->qubits, op->m);
-        break;
-      case CompiledOpKind::kDiagonalRun:
-        state.ApplyWalshPhase(op->walsh);
-        break;
-      case CompiledOpKind::kProductState: {
-        double* re = state.reals();
-        double* im = state.imags();
-        const simd::SimdLevel lvl = simd::ActiveSimdLevel();
-        const auto write = [&](uint64_t b, uint64_t e) {
-          ApplyProductStateRange(*op, num_qubits_, re, im, b, e, lvl);
-        };
-        if (state.dim() >= kParallelAmplitudeThreshold) {
-          ThreadPool::Global().ParallelFor(0, state.dim(), write);
-        } else {
-          write(0, state.dim());
-        }
-        break;
-      }
-    }
+    ApplyOp(*op, state);
     CountOp(*op, dim, counters);
     ++idx;
   }

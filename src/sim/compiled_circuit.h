@@ -1,13 +1,22 @@
 /// \file compiled_circuit.h
 /// \brief One-time lowering of a Circuit into a flat program of typed kernel
-/// ops, with gate fusion and a process-wide compilation cache.
+/// ops, with gate fusion and a process-wide compilation cache, and the
+/// simulator's one op → kernel dispatch.
 ///
-/// The interpreter in StateVectorSimulator re-derives the kernel choice and
-/// (for constant gates) the gate matrix on every execution. For the
-/// repeated-execution workloads qdb cares about — Gram matrices,
-/// parameter-shift batches, variational training loops — the circuit
-/// structure is fixed and only the bound parameter vector changes, so that
-/// per-run work is pure overhead. CompiledCircuit lowers the gate list once:
+/// Every gate qdb simulates on a state vector is lowered here to a
+/// CompiledOp and applied through one dispatch; there is one ladder and no
+/// mode knob. Two executions share it:
+///
+///   stream — StreamGate lowers one bound gate and applies it at once,
+///            without fusion and without the cache. Single gates, one-shot
+///            circuits (StateVectorSimulator::RunStreamed) and the adjoint
+///            rewind take this path;
+///   compile — CompiledCircuit lowers the gate list once and replays it.
+///            For the repeated-execution workloads qdb cares about — Gram
+///            matrices, parameter-shift batches, variational training
+///            loops — the circuit structure is fixed and only the bound
+///            parameter vector changes, so lowering per run is pure
+///            overhead:
 ///
 ///   lower  — resolve every gate to its specialized kernel (dense/diagonal/
 ///            controlled 1Q, dense/diagonal 2Q, swap, MCX/MCZ, generic kQ)
@@ -44,10 +53,12 @@
 /// whose scalar and AVX2 paths agree bit for bit; a product-state pass
 /// builds its factor tables serially and writes each amplitude as one
 /// complex product on every level. With fusion disabled, compiled execution
-/// issues exactly the kernel calls the interpreter would, with the same
-/// matrices in the same order, and is therefore bit-identical to
-/// interpreted execution (unfused programs have no product prefix and keep
-/// their op order). With fusion enabled the composed matrices differ from
+/// issues exactly the kernel calls streaming would, with the same matrices
+/// in the same order, and is therefore bit-identical to it (unfused programs
+/// have no product prefix and keep their op order). The lowering ladder's
+/// independent reference is the dense gate embedding of
+/// PerGateEquivalenceTest (tests/sim_equivalence_test.cc), checked gate by
+/// gate. With fusion enabled the composed matrices differ from
 /// the sequential product only by floating-point round-off (~1e-15 per fused
 /// pair or reordered 1Q run, ~n·1e-16 for a product state, and ~|Φ|·1e-16
 /// for a diagonal run).
@@ -100,12 +111,13 @@ inline constexpr int kReplayTileBits = 12;
 
 struct CompileOptions {
   /// Run the fusion passes. Disable to get a program that replays the
-  /// interpreter's exact kernel sequence (bit-identical results).
+  /// streamed kernel sequence exactly (bit-identical results).
   bool fuse = true;
 };
 
-/// \brief The kernel class a compiled op dispatches to. Mirrors the
-/// specialization ladder of StateVectorSimulator::ApplyGate.
+/// \brief The kernel class a compiled op dispatches to: diagonal gates touch
+/// each amplitude once, controlled gates skip the untouched half, generic
+/// k-qubit gates fall back to the 2^k-group kernel.
 enum class CompiledOpKind : uint8_t {
   kNop,           ///< Fused away; skipped at execution.
   k1QDense,       ///< 2x2 dense on q0.
@@ -214,6 +226,12 @@ class CompiledCircuit {
   /// pays one relaxed increment, not a label lookup.
   obs::Counter* replays_by_qubits_ = nullptr;
 };
+
+/// \brief Streaming execution of one bound gate: lowers `gate`, its angles
+/// bound to `angles`, to one unfused CompiledOp and applies it to `state` in
+/// place through replay's op-at-a-time dispatch, counting it in the
+/// sim.gates.* and sim.amplitude_touches metrics. Identities are skipped.
+void StreamGate(const Gate& gate, const DVector& angles, StateVector& state);
 
 /// \brief Process-wide LRU cache of compiled programs, keyed by the
 /// structural fingerprint of the circuit (gate types, operands, and

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <optional>
 
 #include "common/strings.h"
@@ -17,25 +16,13 @@ namespace qdb {
 
 namespace {
 
-/// Per-gate-class apply counts plus an amplitude-touch tally. Registry
-/// lookups happen once (function-local static); the hot path pays one
-/// relaxed atomic add per gate, negligible next to the O(2^n) kernel work.
+/// Run and batch counts; per-kernel-class gate counts live with the
+/// dispatch in sim/compiled_circuit.cc. Registry lookups happen once
+/// (function-local static).
 struct SimCounters {
   obs::Counter* runs = obs::GetCounter("sim.runs");
   obs::Counter* batches = obs::GetCounter("sim.batches");
   obs::Counter* batch_circuits = obs::GetCounter("sim.batch_circuits");
-  obs::Counter* diagonal_1q = obs::GetCounter("sim.gates.diagonal_1q");
-  obs::Counter* generic_1q = obs::GetCounter("sim.gates.generic_1q");
-  obs::Counter* controlled_1q = obs::GetCounter("sim.gates.controlled_1q");
-  obs::Counter* diagonal_2q = obs::GetCounter("sim.gates.diagonal_2q");
-  obs::Counter* generic_2q = obs::GetCounter("sim.gates.generic_2q");
-  obs::Counter* swap = obs::GetCounter("sim.gates.swap");
-  obs::Counter* multi_controlled = obs::GetCounter("sim.gates.multi_controlled");
-  obs::Counter* generic_kq = obs::GetCounter("sim.gates.generic_kq");
-  /// Amplitudes read-modify-written across all gate applications (the
-  /// simulator's memory-traffic proxy: diagonal and generic kernels touch
-  /// every amplitude; controlled / swap kernels touch half).
-  obs::Counter* amplitude_touches = obs::GetCounter("sim.amplitude_touches");
 };
 
 SimCounters& Counters() {
@@ -43,37 +30,29 @@ SimCounters& Counters() {
   return counters;
 }
 
-/// QDB_COMPILE environment override, read once: "0" forces interpreted,
-/// "1" forces compiled, unset/other defers to the auto heuristic.
-std::optional<bool> CompileEnvOverride() {
-  static const std::optional<bool> value = []() -> std::optional<bool> {
-    const char* env = std::getenv("QDB_COMPILE");
-    if (env == nullptr) return std::nullopt;
-    if (env[0] == '0' && env[1] == '\0') return false;
-    if (env[0] == '1' && env[1] == '\0') return true;
-    return std::nullopt;
-  }();
-  return value;
+/// Shortest circuit RunInPlace compiles: single gates gain nothing from
+/// lowering; everything else wins from fusion and/or the
+/// compile-once-replay-many cache.
+constexpr size_t kCompileFromGates = 2;
+
+/// Fails unless `state` and `params` fit `circuit`; counts the run.
+Status BeginRun(const Circuit& circuit, const StateVector& state,
+                const DVector& params) {
+  if (state.num_qubits() != circuit.num_qubits()) {
+    return Status::InvalidArgument(
+        StrCat("state has ", state.num_qubits(), " qubits but circuit has ",
+               circuit.num_qubits()));
+  }
+  if (static_cast<int>(params.size()) < circuit.num_parameters()) {
+    return Status::InvalidArgument(
+        StrCat("circuit references ", circuit.num_parameters(),
+               " parameters but only ", params.size(), " were bound"));
+  }
+  Counters().runs->Increment();
+  return Status::OK();
 }
 
 }  // namespace
-
-bool StateVectorSimulator::ShouldCompile(const Circuit& circuit) const {
-  switch (execution_mode_) {
-    case ExecutionMode::kInterpreted:
-      return false;
-    case ExecutionMode::kCompiled:
-      return true;
-    case ExecutionMode::kAuto:
-      break;
-  }
-  if (const std::optional<bool> env = CompileEnvOverride(); env.has_value()) {
-    return *env;
-  }
-  // Single-gate circuits gain nothing from lowering; everything else wins
-  // from fusion and/or the compile-once-replay-many cache.
-  return circuit.size() >= 2;
-}
 
 Result<StateVector> StateVectorSimulator::Run(const Circuit& circuit,
                                               const DVector& params) const {
@@ -85,27 +64,23 @@ Result<StateVector> StateVectorSimulator::Run(const Circuit& circuit,
 Status StateVectorSimulator::RunInPlace(const Circuit& circuit,
                                         StateVector& state,
                                         const DVector& params) const {
-  if (state.num_qubits() != circuit.num_qubits()) {
-    return Status::InvalidArgument(
-        StrCat("state has ", state.num_qubits(), " qubits but circuit has ",
-               circuit.num_qubits()));
+  if (circuit.size() < kCompileFromGates) {
+    return RunStreamed(circuit, state, params);
   }
-  if (static_cast<int>(params.size()) < circuit.num_parameters()) {
-    return Status::InvalidArgument(
-        StrCat("circuit references ", circuit.num_parameters(),
-               " parameters but only ", params.size(), " were bound"));
-  }
+  QDB_RETURN_IF_ERROR(BeginRun(circuit, state, params));
   QDB_TRACE_SCOPE("StateVectorSimulator::Run", "sim");
-  Counters().runs->Increment();
-  if (ShouldCompile(circuit)) {
-    std::shared_ptr<const CompiledCircuit> program =
-        CompilationCache::Global().GetOrCompile(circuit);
-    return program->Execute(state, params);
-  }
+  std::shared_ptr<const CompiledCircuit> program =
+      CompilationCache::Global().GetOrCompile(circuit);
+  return program->Execute(state, params);
+}
+
+Status StateVectorSimulator::RunStreamed(const Circuit& circuit,
+                                         StateVector& state,
+                                         const DVector& params) const {
+  QDB_RETURN_IF_ERROR(BeginRun(circuit, state, params));
+  QDB_TRACE_SCOPE("StateVectorSimulator::Run", "sim");
   for (size_t i = 0; i < circuit.gates().size(); ++i) {
-    const Gate& gate = circuit.gates()[i];
-    DVector angles = circuit.EvaluateAngles(i, params);
-    QDB_RETURN_IF_ERROR(ApplyGate(gate, angles, state));
+    StreamGate(circuit.gates()[i], circuit.EvaluateAngles(i, params), state);
   }
   return Status::OK();
 }
@@ -133,7 +108,7 @@ Status StateVectorSimulator::RunBatchReduce(
   // Broadcast batches replay one circuit `count` times: compile it before
   // the fan-out so workers hit the cache instead of serializing on the
   // first-miss compile inside the cache lock.
-  if (nc == 1 && ShouldCompile(circuits[0])) {
+  if (nc == 1 && circuits[0].size() >= kCompileFromGates) {
     CompilationCache::Global().GetOrCompile(circuits[0]);
   }
   static const DVector kNoParams;
@@ -199,92 +174,7 @@ Result<std::vector<std::map<uint64_t, int>>> StateVectorSimulator::SampleBatch(
 
 Status StateVectorSimulator::ApplyGate(const Gate& gate, const DVector& angles,
                                        StateVector& state) const {
-  SimCounters& counters = Counters();
-  const long dim = static_cast<long>(state.dim());
-  switch (gate.type) {
-    case GateType::kI:
-      return Status::OK();
-    case GateType::kMCX: {
-      std::vector<int> controls(gate.qubits.begin(), gate.qubits.end() - 1);
-      state.ApplyMCX(controls, gate.qubits.back());
-      counters.multi_controlled->Increment();
-      counters.amplitude_touches->Increment(
-          dim >> std::min<size_t>(controls.size(), 62));
-      return Status::OK();
-    }
-    case GateType::kMCZ: {
-      std::vector<int> controls(gate.qubits.begin(), gate.qubits.end() - 1);
-      state.ApplyMCZ(controls, gate.qubits.back());
-      counters.multi_controlled->Increment();
-      counters.amplitude_touches->Increment(
-          dim >> std::min<size_t>(controls.size() + 1, 62));
-      return Status::OK();
-    }
-    case GateType::kSwap:
-      state.ApplySwap(gate.qubits[0], gate.qubits[1]);
-      counters.swap->Increment();
-      counters.amplitude_touches->Increment(dim / 2);
-      return Status::OK();
-    case GateType::kCX:
-      state.ApplyControlled1Q(gate.qubits[0], gate.qubits[1], {0, 0}, {1, 0},
-                              {1, 0}, {0, 0});
-      counters.controlled_1q->Increment();
-      counters.amplitude_touches->Increment(dim / 2);
-      return Status::OK();
-    case GateType::kCZ:
-      state.ApplyDiagonal2Q(gate.qubits[0], gate.qubits[1], {1, 0}, {1, 0},
-                            {1, 0}, {-1, 0});
-      counters.diagonal_2q->Increment();
-      counters.amplitude_touches->Increment(dim);
-      return Status::OK();
-    default:
-      break;
-  }
-
-  const Matrix u = GateMatrix(gate.type, angles);
-  const int arity = static_cast<int>(gate.qubits.size());
-  if (arity == 1) {
-    if (IsDiagonalGate(gate.type)) {
-      state.ApplyDiagonal1Q(gate.qubits[0], u(0, 0), u(1, 1));
-      counters.diagonal_1q->Increment();
-    } else {
-      state.Apply1Q(gate.qubits[0], u);
-      counters.generic_1q->Increment();
-    }
-    counters.amplitude_touches->Increment(dim);
-    return Status::OK();
-  }
-  if (arity == 2) {
-    if (IsDiagonalGate(gate.type)) {
-      state.ApplyDiagonal2Q(gate.qubits[0], gate.qubits[1], u(0, 0), u(1, 1),
-                            u(2, 2), u(3, 3));
-      counters.diagonal_2q->Increment();
-      counters.amplitude_touches->Increment(dim);
-    } else {
-      switch (gate.type) {
-        case GateType::kCY:
-        case GateType::kCH:
-        case GateType::kCRX:
-        case GateType::kCRY:
-        case GateType::kCRZ:
-          // Controlled forms: the 2x2 block lives at rows/cols {2, 3}.
-          state.ApplyControlled1Q(gate.qubits[0], gate.qubits[1], u(2, 2),
-                                  u(2, 3), u(3, 2), u(3, 3));
-          counters.controlled_1q->Increment();
-          counters.amplitude_touches->Increment(dim / 2);
-          break;
-        default:
-          state.Apply2Q(gate.qubits[0], gate.qubits[1], u);
-          counters.generic_2q->Increment();
-          counters.amplitude_touches->Increment(dim);
-          break;
-      }
-    }
-    return Status::OK();
-  }
-  state.ApplyKQ(gate.qubits, u);
-  counters.generic_kq->Increment();
-  counters.amplitude_touches->Increment(dim);
+  StreamGate(gate, angles, state);
   return Status::OK();
 }
 

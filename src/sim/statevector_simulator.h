@@ -18,47 +18,36 @@
 
 namespace qdb {
 
-/// \brief How RunInPlace executes a circuit.
-///
-/// kInterpreted walks the gate list with per-gate dispatch; kCompiled looks
-/// the circuit up in the global CompilationCache (compiling on first sight)
-/// and replays the fused kernel program. kAuto defers to the QDB_COMPILE
-/// environment variable ("0" forces interpreted, "1" forces compiled) and
-/// otherwise compiles any circuit with at least two gates — the regime where
-/// fusion and cached dispatch pay for the one-time lowering.
-enum class ExecutionMode {
-  kAuto,
-  kInterpreted,
-  kCompiled,
-};
-
 /// \brief Exact (noise-free) state-vector execution of circuits.
 ///
-/// Stateless apart from configuration; safe to share across calls. Gate
-/// dispatch picks a specialized kernel per gate class: diagonal gates touch
-/// each amplitude once, controlled gates skip the untouched half, generic
-/// k-qubit gates fall back to the 2^k-group kernel. In compiled mode (the
-/// default for non-trivial circuits, see ExecutionMode) the gate list is
-/// lowered and fused once through the CompilationCache and replayed as a
-/// flat kernel program.
+/// Stateless; safe to share across calls. Every gate runs through the one
+/// lowering and op → kernel dispatch in sim/compiled_circuit.h: circuits of
+/// two or more gates are compiled and fused once through the
+/// CompilationCache and replayed as a flat kernel program, and single gates
+/// and one-shot circuits are streamed, each gate lowered and applied at
+/// once.
 class StateVectorSimulator {
  public:
   StateVectorSimulator() = default;
-
-  /// Overrides the execution-mode resolution for this instance.
-  void set_execution_mode(ExecutionMode mode) { execution_mode_ = mode; }
-  ExecutionMode execution_mode() const { return execution_mode_; }
 
   /// Runs `circuit` from |0...0⟩ with `params` bound to the symbolic
   /// parameters. Fails if fewer parameters are supplied than referenced.
   Result<StateVector> Run(const Circuit& circuit,
                           const DVector& params = {}) const;
 
-  /// Runs `circuit` from the given initial state (in place).
+  /// Runs `circuit` from the given initial state (in place): cached fused
+  /// replay from two gates up, streamed below that.
   Status RunInPlace(const Circuit& circuit, StateVector& state,
                     const DVector& params = {}) const;
 
-  /// Applies a single bound gate to `state`.
+  /// Runs `circuit` in place gate by gate through StreamGate: no fusion, no
+  /// CompilationCache entry. For one-shot circuits whose program would
+  /// never be replayed (bound inference circuits, kernel encodings, unitary
+  /// columns). Amplitudes are bit-identical to an unfused compiled replay.
+  Status RunStreamed(const Circuit& circuit, StateVector& state,
+                     const DVector& params = {}) const;
+
+  /// Applies a single bound gate to `state` (StreamGate).
   Status ApplyGate(const Gate& gate, const DVector& angles,
                    StateVector& state) const;
 
@@ -97,12 +86,6 @@ class StateVectorSimulator {
   Result<std::vector<std::map<uint64_t, int>>> SampleBatch(
       const std::vector<Circuit>& circuits,
       const std::vector<DVector>& params_list, int shots, Rng& rng) const;
-
- private:
-  /// True when the resolved mode says `circuit` should run compiled.
-  bool ShouldCompile(const Circuit& circuit) const;
-
-  ExecutionMode execution_mode_ = ExecutionMode::kAuto;
 };
 
 /// \brief ⟨ψ|P|ψ⟩ for a single Pauli string (real by Hermiticity).

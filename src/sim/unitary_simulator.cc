@@ -13,13 +13,16 @@ Result<Matrix> CircuitUnitary(const Circuit& circuit, const DVector& params) {
   }
   const uint64_t dim = uint64_t{1} << circuit.num_qubits();
   Matrix u(dim, dim);
-  // The per-gate interpreter keeps this an oracle for compiled replay:
-  // nothing here goes through lowering, fusion or the product prefix.
-  StateVectorSimulator sim;
-  sim.set_execution_mode(ExecutionMode::kInterpreted);
+  // Columns are streamed gate by gate: no fusion, no product prefix, no
+  // cached program. Streaming shares the compiler's lowering ladder, so this
+  // is an oracle for fusion and replay, not for the lowering itself; that
+  // independence comes from PerGateEquivalenceTest
+  // (tests/sim_equivalence_test.cc), whose dense EmbedGate reference checks
+  // the ladder gate by gate.
+  const StateVectorSimulator sim;
   for (uint64_t col = 0; col < dim; ++col) {
     StateVector state = StateVector::BasisState(circuit.num_qubits(), col);
-    QDB_RETURN_IF_ERROR(sim.RunInPlace(circuit, state, params));
+    QDB_RETURN_IF_ERROR(sim.RunStreamed(circuit, state, params));
     for (uint64_t row = 0; row < dim; ++row) u(row, col) = state.amplitude(row);
   }
   return u;

@@ -13,9 +13,9 @@
 
 namespace qdb {
 
-/// \brief Builds the 2^n x 2^n unitary of a circuit by propagating each
-/// computational basis state through the state-vector simulator's per-gate
-/// interpreter, so it can serve as an oracle for compiled replay.
+/// \brief Builds the 2^n x 2^n unitary of a circuit by streaming each
+/// computational basis state through it gate by gate (no fusion), so it can
+/// serve as an oracle for fused, compiled replay.
 ///
 /// \param circuit the circuit (n ≤ 12 enforced: 16M complex entries).
 /// \param params bound values for symbolic parameters.

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/hash.h"
 #include "common/strings.h"
 #include "fault/fault_injector.h"
 #include "obs/labels.h"
@@ -52,15 +53,6 @@ constexpr uint64_t kMaxVectorCount = 1ull << 24;
 constexpr uint64_t kMaxConfigCount = 1ull << 20;
 constexpr uint64_t kMaxFeatures = 1ull << 20;
 constexpr uint32_t kMaxSections = 64;
-
-uint64_t Fnv1a(const char* data, size_t n) {
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 // --- little-endian scalar append/read (native layout on every platform we
 // build for; the format is defined as little-endian) -------------------------
@@ -333,14 +325,11 @@ std::string SerializeBinary(const serve::ModelArtifact& artifact) {
     PutAt<uint32_t>(out, entry + 4, 0u);  // reserved
     PutAt<uint64_t>(out, entry + 8, offsets[i]);
     PutAt<uint64_t>(out, entry + 16, sections[i].payload.size());
-    PutAt<uint64_t>(out, entry + 24,
-                    Fnv1a(sections[i].payload.data(),
-                          sections[i].payload.size()));
+    PutAt<uint64_t>(out, entry + 24, Fnv1a64(sections[i].payload));
   }
   // The header checksum covers the header (checksum field zeroed, padding
   // included) and the section table, so any flipped byte there fails closed.
-  PutAt<uint64_t>(out, kOffHeaderChecksum,
-                  Fnv1a(out.data(), out.size()));
+  PutAt<uint64_t>(out, kOffHeaderChecksum, Fnv1a64(out));
 
   out.resize(file_size, '\0');
   for (size_t i = 0; i < sections.size(); ++i) {
@@ -378,7 +367,7 @@ Result<serve::ModelArtifact> DeserializeBinary(const std::string& bytes) {
   {
     std::string prefix = bytes.substr(0, table_end);
     PutAt<uint64_t>(prefix, kOffHeaderChecksum, 0ull);
-    if (Fnv1a(prefix.data(), prefix.size()) != stored_header_checksum) {
+    if (Fnv1a64(prefix) != stored_header_checksum) {
       return Corrupted("header checksum mismatch (file damaged or edited)");
     }
   }
@@ -417,7 +406,8 @@ Result<serve::ModelArtifact> DeserializeBinary(const std::string& bytes) {
         size > bytes.size() - offset) {
       return Corrupted(StrCat("section ", i, " is out of range"));
     }
-    if (Fnv1a(bytes.data() + offset, static_cast<size_t>(size)) != checksum) {
+    if (Fnv1a64(std::string_view(bytes).substr(
+                    offset, static_cast<size_t>(size))) != checksum) {
       return Corrupted(StrCat("section ", i,
                               " checksum mismatch (file damaged or edited)"));
     }

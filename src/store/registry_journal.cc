@@ -12,6 +12,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/hash.h"
 #include "common/strings.h"
 #include "fault/fault_injector.h"
 #include "obs/obs.h"
@@ -32,15 +33,6 @@ constexpr size_t kRecordHeaderSize = 12;  // u32 payload_size + u64 checksum
 constexpr uint32_t kMaxRecordPayload = 1u << 20;
 constexpr uint64_t kMaxManifestEntries = 1ull << 24;
 constexpr uint32_t kMaxNameBytes = 1u << 16;
-
-uint64_t Fnv1a(const char* data, size_t n) {
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 template <typename T>
 void Put(std::string& out, T v) {
@@ -98,7 +90,7 @@ std::string EncodeRecord(const JournalRecord& record) {
   std::string out;
   out.reserve(kRecordHeaderSize + payload.size());
   Put<uint32_t>(out, static_cast<uint32_t>(payload.size()));
-  Put<uint64_t>(out, Fnv1a(payload.data(), payload.size()));
+  Put<uint64_t>(out, Fnv1a64(payload));
   out.append(payload);
   return out;
 }
@@ -220,7 +212,8 @@ Status RegistryJournal::Recover() {
       }
       uint64_t stored_checksum = 0;
       Get(bytes, bytes.size() - sizeof(uint64_t), stored_checksum);
-      if (Fnv1a(bytes.data(), bytes.size() - sizeof(uint64_t)) !=
+      if (Fnv1a64(std::string_view(bytes).substr(
+              0, bytes.size() - sizeof(uint64_t))) !=
           stored_checksum) {
         return Status::InvalidArgument(StrCat(
             "registry snapshot '", snapshot_path_, "' failed its checksum"));
@@ -359,7 +352,7 @@ Status RegistryJournal::Recover() {
       }
       const std::string payload =
           bytes.substr(offset + kRecordHeaderSize, payload_size);
-      if (Fnv1a(payload.data(), payload.size()) != checksum) break;
+      if (Fnv1a64(payload) != checksum) break;
       JournalRecord record;
       if (!DecodePayload(payload, record)) break;
       // The record is intact. Stale records (folded into the snapshot
@@ -572,7 +565,7 @@ std::string RegistryJournal::SerializeManifestLocked() const {
     Put<uint8_t>(out, entry.pinned ? 1 : 0);
     Put<uint8_t>(out, entry.hot ? 1 : 0);
   }
-  Put<uint64_t>(out, Fnv1a(out.data(), out.size()));
+  Put<uint64_t>(out, Fnv1a64(out));
   return out;
 }
 

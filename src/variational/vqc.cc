@@ -70,7 +70,6 @@ Result<VqcClassifier> VqcClassifier::Train(const Dataset& data,
   sample_fns.reserve(data.size());
   for (const auto& x : data.features) {
     sample_fns.emplace_back(model.BuildCircuit(x), observable);
-    sample_fns.back().set_execution_mode(options.execution);
   }
   const int num_params = sample_fns.front().num_parameters();
   if (num_params == 0) {
@@ -155,7 +154,6 @@ Result<double> VqcClassifier::Score(const DVector& x) const {
       PauliSum(num_features_)
           .Add(1.0, PauliString::Single(num_features_, 0, PauliOp::kZ));
   ExpectationFunction fn(BuildCircuit(x), observable);
-  fn.set_execution_mode(options_.execution);
   return fn.Evaluate(params_);
 }
 

@@ -34,10 +34,6 @@ struct VqcOptions {
   GradientMethod gradient = GradientMethod::kAdjoint;
   uint64_t seed = 31;          ///< Initial-parameter draw.
   double init_scale = 0.3;     ///< θ₀ ~ U(−scale, scale).
-  /// Simulator execution mode for the per-sample loss circuits. Training
-  /// re-runs one circuit structure per sample every iteration, so the
-  /// kAuto default compiles each once and replays from the cache.
-  ExecutionMode execution = ExecutionMode::kAuto;
 };
 
 /// \brief A trained variational classifier over ±1 labels.

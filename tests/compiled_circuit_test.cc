@@ -1,5 +1,5 @@
-// Interpreted-vs-compiled equivalence for the compiled-circuit engine:
-// without fusion the compiled program must replay the interpreter's exact
+// Streamed-vs-compiled equivalence for the compiled-circuit engine:
+// without fusion the compiled program must replay the streamed gates' exact
 // kernel sequence (bit-identical amplitudes); with fusion results agree to
 // floating-point round-off and stay bit-identical across thread widths.
 
@@ -35,13 +35,12 @@ class ScopedThreads {
   ~ScopedThreads() { ThreadPool::SetGlobalThreads(1); }
 };
 
-/// Runs `circuit` through the per-gate interpreter (compilation disabled).
-StateVector RunInterpreted(const Circuit& circuit, const DVector& params = {}) {
-  StateVectorSimulator sim;
-  sim.set_execution_mode(ExecutionMode::kInterpreted);
-  auto result = sim.Run(circuit, params);
-  QDB_CHECK(result.ok()) << result.status().ToString();
-  return std::move(result).value();
+/// Runs `circuit` gate by gate through StreamGate (no fusion, no cache).
+StateVector RunStreamed(const Circuit& circuit, const DVector& params = {}) {
+  StateVector state(circuit.num_qubits());
+  Status status = StateVectorSimulator().RunStreamed(circuit, state, params);
+  QDB_CHECK(status.ok()) << status.ToString();
+  return state;
 }
 
 /// Runs `circuit` through a freshly compiled program.
@@ -120,17 +119,17 @@ std::vector<Circuit> PerGateCircuits() {
 
 TEST(CompiledCircuitTest, EveryGateTypeBitIdenticalWithoutFusion) {
   for (const Circuit& c : PerGateCircuits()) {
-    const StateVector interpreted = RunInterpreted(c);
+    const StateVector streamed = RunStreamed(c);
     const StateVector compiled = RunCompiled(c, CompileOptions{.fuse = false});
-    ExpectBitIdentical(interpreted, compiled);
+    ExpectBitIdentical(streamed, compiled);
   }
 }
 
 TEST(CompiledCircuitTest, EveryGateTypeNearIdenticalWithFusion) {
   for (const Circuit& c : PerGateCircuits()) {
-    const StateVector interpreted = RunInterpreted(c);
+    const StateVector streamed = RunStreamed(c);
     const StateVector fused = RunCompiled(c, CompileOptions{.fuse = true});
-    ExpectNear(interpreted, fused, 1e-12);
+    ExpectNear(streamed, fused, 1e-12);
   }
 }
 
@@ -173,7 +172,7 @@ TEST(CompiledCircuitTest, RandomCircuitsBitIdenticalWithoutFusion) {
   Rng rng(17);
   for (int n = 2; n <= 10; ++n) {
     const Circuit c = RandomMixedCircuit(n, 12 * n, rng, /*symbolic=*/false);
-    ExpectBitIdentical(RunInterpreted(c),
+    ExpectBitIdentical(RunStreamed(c),
                        RunCompiled(c, CompileOptions{.fuse = false}));
   }
 }
@@ -186,37 +185,37 @@ TEST(CompiledCircuitTest, RandomCircuitsNearIdenticalWithFusion) {
     EXPECT_LT(program.num_ops(), c.size()) << "fusion should shrink " << n;
     StateVector state(n);
     ASSERT_TRUE(program.Execute(state).ok());
-    ExpectNear(RunInterpreted(c), state, 1e-12);
+    ExpectNear(RunStreamed(c), state, 1e-12);
   }
 }
 
-TEST(CompiledCircuitTest, ParametricRebindingMatchesInterpreter) {
+TEST(CompiledCircuitTest, ParametricRebindingMatchesStreaming) {
   Rng rng(43);
   const Circuit c = RandomMixedCircuit(6, 60, rng, /*symbolic=*/true);
   ASSERT_GT(c.num_parameters(), 0);
   const CompiledCircuit unfused =
       CompiledCircuit::Compile(c, CompileOptions{.fuse = false});
   const CompiledCircuit fused = CompiledCircuit::Compile(c);
-  // One compiled program, many parameter vectors: re-binding must track the
-  // interpreter exactly (unfused) / to round-off (fused) on every binding.
+  // One compiled program, many parameter vectors: re-binding must track
+  // streaming exactly (unfused) / to round-off (fused) on every binding.
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     Rng prng(seed);
     const DVector params =
         prng.UniformVector(c.num_parameters(), -2.0, 2.0);
-    const StateVector interpreted = RunInterpreted(c, params);
+    const StateVector streamed = RunStreamed(c, params);
     StateVector exact(6);
     ASSERT_TRUE(unfused.Execute(exact, params).ok());
-    ExpectBitIdentical(interpreted, exact);
+    ExpectBitIdentical(streamed, exact);
     StateVector approx(6);
     ASSERT_TRUE(fused.Execute(approx, params).ok());
-    ExpectNear(interpreted, approx, 1e-12);
+    ExpectNear(streamed, approx, 1e-12);
   }
 }
 
 TEST(CompiledCircuitTest, WideCircuitBitIdenticalAcrossThreadWidths) {
   // 15 qubits puts every kernel above kParallelAmplitudeThreshold; the
   // compiled program (fused) must preserve the serial-vs-parallel
-  // bit-identity guarantee, and compiled-vs-interpreted bit-identity
+  // bit-identity guarantee, and compiled-vs-streamed bit-identity
   // (unfused) must hold at every width.
   const int n = 15;
   Circuit c(n);
@@ -227,29 +226,15 @@ TEST(CompiledCircuitTest, WideCircuitBitIdenticalAcrossThreadWidths) {
 
   ThreadPool::SetGlobalThreads(1);
   const StateVector serial_fused = RunCompiled(c, CompileOptions{.fuse = true});
-  ExpectBitIdentical(RunInterpreted(c),
+  ExpectBitIdentical(RunStreamed(c),
                      RunCompiled(c, CompileOptions{.fuse = false}));
 
   ScopedThreads threads(4);
   const StateVector parallel_fused =
       RunCompiled(c, CompileOptions{.fuse = true});
   ExpectBitIdentical(serial_fused, parallel_fused);
-  ExpectBitIdentical(RunInterpreted(c),
+  ExpectBitIdentical(RunStreamed(c),
                      RunCompiled(c, CompileOptions{.fuse = false}));
-}
-
-TEST(CompiledCircuitTest, SimulatorModesAgree) {
-  Rng rng(7);
-  const Circuit c = RandomMixedCircuit(5, 40, rng, /*symbolic=*/false);
-  StateVectorSimulator interpreted;
-  interpreted.set_execution_mode(ExecutionMode::kInterpreted);
-  StateVectorSimulator compiled;
-  compiled.set_execution_mode(ExecutionMode::kCompiled);
-  auto a = interpreted.Run(c);
-  auto b = compiled.Run(c);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ExpectNear(a.value(), b.value(), 1e-12);
 }
 
 TEST(CompiledCircuitTest, FusionCollapsesKnownPatterns) {
@@ -332,14 +317,14 @@ TEST(CompiledCircuitTest, JoinOrderQaoaCostLayerFusesIntoOneOp) {
   EXPECT_EQ(unfused.num_ops(), c.size());
 }
 
-TEST(CompiledCircuitTest, DiagonalRunReplayMatchesInterpreter) {
+TEST(CompiledCircuitTest, DiagonalRunReplayMatchesStreaming) {
   const Circuit c = JoinOrderQaoaCircuit();
   const CompiledCircuit fused = CompiledCircuit::Compile(c);
   for (const DVector& params :
        {DVector{0.3, 0.4}, DVector{-1.7, 2.9}, DVector{0.01, -0.5}}) {
     StateVector state(c.num_qubits());
     ASSERT_TRUE(fused.Execute(state, params).ok());
-    ExpectNear(RunInterpreted(c, params), state, 1e-12);
+    ExpectNear(RunStreamed(c, params), state, 1e-12);
   }
   // 17 qubits: the run replays inside cache blocks.
   const Circuit wide = DiagonalRunCircuit(17, 40, 3);
@@ -347,7 +332,7 @@ TEST(CompiledCircuitTest, DiagonalRunReplayMatchesInterpreter) {
   ASSERT_EQ(wide_fused.stats().diagonal_runs, 1u);
   StateVector state(17);
   ASSERT_TRUE(wide_fused.Execute(state, {0.7, -0.2}).ok());
-  ExpectNear(RunInterpreted(wide, {0.7, -0.2}), state, 1e-12);
+  ExpectNear(RunStreamed(wide, {0.7, -0.2}), state, 1e-12);
 }
 
 TEST(CompiledCircuitTest, DiagonalRunBitIdenticalAcrossThreadsAndSimd) {
@@ -392,7 +377,7 @@ TEST(CompiledCircuitTest, DiagonalRunsShorterThanThresholdStayPerGate) {
   const CompiledCircuit collapsed = CompiledCircuit::Compile(long_run);
   EXPECT_EQ(collapsed.stats().diagonal_runs, 1u);
   EXPECT_EQ(collapsed.num_ops(), long_run.size() - below);
-  ExpectNear(RunInterpreted(long_run, {0.8, 0.3}),
+  ExpectNear(RunStreamed(long_run, {0.8, 0.3}),
              RunCompiled(long_run, CompileOptions{}, {0.8, 0.3}), 1e-12);
 }
 

@@ -11,6 +11,7 @@
 #include "linalg/eigen.h"
 #include "linalg/vector_ops.h"
 #include "obs/obs.h"
+#include "sim/compiled_circuit.h"
 #include "sim/statevector_simulator.h"
 
 namespace qdb {
@@ -122,15 +123,16 @@ TEST(QuantumKernelTest, CrossFromEncodedMatchesCrossMatrix) {
   EXPECT_FALSE(bad.ok());
 }
 
-// Dense oracle: both points simulated gate by gate on the state-vector
+// Dense oracle: both points streamed gate by gate on the state-vector
 // simulator and overlapped with Fidelity.
 double DenseFidelity(const Circuit& a, const Circuit& b) {
-  StateVectorSimulator simulator;
-  simulator.set_execution_mode(ExecutionMode::kInterpreted);
-  auto phi_a = simulator.Run(a);
-  auto phi_b = simulator.Run(b);
-  QDB_CHECK(phi_a.ok() && phi_b.ok());
-  return Fidelity(phi_a.value().ToAmplitudes(), phi_b.value().ToAmplitudes());
+  const StateVectorSimulator simulator;
+  StateVector phi_a(a.num_qubits());
+  StateVector phi_b(b.num_qubits());
+  const Status status_a = simulator.RunStreamed(a, phi_a);
+  const Status status_b = simulator.RunStreamed(b, phi_b);
+  QDB_CHECK(status_a.ok() && status_b.ok());
+  return Fidelity(phi_a.ToAmplitudes(), phi_b.ToAmplitudes());
 }
 
 TEST(QuantumKernelTest, FactoredAngleEntriesMatchDenseOracle) {
@@ -216,26 +218,25 @@ TEST(QuantumKernelTest, MixedEncodingFormsAreRejected) {
 }
 
 TEST(QuantumKernelTest, DenseEncodingsCompileOnlyWhenWide) {
-  // kAuto interprets narrow dense encodings (a one-shot compile costs more
-  // than fusion saves there) and compiles wide ones; both are compared
-  // bitwise against the explicit modes.
+  // The kernel streams narrow dense encodings (a one-shot compile costs
+  // more than fusion saves there) and compiles wide ones; both are compared
+  // bitwise against direct streamed and fused runs of the same circuit.
   for (int n : {3, 12}) {
     DVector x(n);
     for (int q = 0; q < n; ++q) x[q] = 0.37 * (q + 1);
-    FidelityQuantumKernel automatic = MakeZZFeatureMapKernel(2);
-    FidelityQuantumKernel interpreted = MakeZZFeatureMapKernel(2);
-    interpreted.set_execution_mode(ExecutionMode::kInterpreted);
-    FidelityQuantumKernel compiled = MakeZZFeatureMapKernel(2);
-    compiled.set_execution_mode(ExecutionMode::kCompiled);
-    auto a = automatic.EncodedState(x);
-    auto i = interpreted.EncodedState(x);
-    auto c = compiled.EncodedState(x);
-    ASSERT_TRUE(a.ok() && i.ok() && c.ok());
-    const CVector& expected =
-        n >= 12 ? c.value().amplitudes : i.value().amplitudes;
-    ASSERT_EQ(a.value().amplitudes.size(), expected.size());
+    const Circuit circuit = ZZFeatureMap(x, /*reps=*/2);
+    StateVector streamed(n);
+    ASSERT_TRUE(StateVectorSimulator().RunStreamed(circuit, streamed).ok());
+    StateVector fused(n);
+    ASSERT_TRUE(CompiledCircuit::Compile(circuit).Execute(fused).ok());
+    auto encoded = MakeZZFeatureMapKernel(2).EncodedState(x);
+    ASSERT_TRUE(encoded.ok());
+    const CVector expected =
+        n >= 12 ? fused.ToAmplitudes() : streamed.ToAmplitudes();
+    const CVector& actual = encoded.value().amplitudes;
+    ASSERT_EQ(actual.size(), expected.size());
     for (size_t k = 0; k < expected.size(); ++k) {
-      ASSERT_EQ(a.value().amplitudes[k], expected[k]) << n << " qubits, " << k;
+      ASSERT_EQ(actual[k], expected[k]) << n << " qubits, " << k;
     }
   }
 }

@@ -18,6 +18,7 @@
 #include "classical/dataset.h"
 #include "classical/svm.h"
 #include "common/rng.h"
+#include "common/hash.h"
 #include "common/strings.h"
 #include "fault/fault_injector.h"
 #include "kernel/quantum_kernel.h"

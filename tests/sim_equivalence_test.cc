@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "linalg/random_unitary.h"
 #include "ops/pauli.h"
+#include "sim/compiled_circuit.h"
 #include "sim/statevector_simulator.h"
 #include "sim/unitary_simulator.h"
 
@@ -68,11 +69,37 @@ const GateCase kAllFixedArityGates[] = {
     {GateType::kCSwap, 3, 0},
 };
 
+/// MCX and MCZ with 1–3 controls, run at n = 5: the last operand is the
+/// target, the others are controls.
+const GateCase kVariadicGates[] = {
+    {GateType::kMCX, 2, 0}, {GateType::kMCX, 3, 0}, {GateType::kMCX, 4, 0},
+    {GateType::kMCZ, 2, 0}, {GateType::kMCZ, 3, 0}, {GateType::kMCZ, 4, 0},
+};
+
+/// The 2^k matrix of a variadic gate in operand order (target = low bit);
+/// GateMatrix rejects variadic gates, so the oracle builds its own.
+Matrix VariadicMatrix(GateType type, int arity) {
+  const uint64_t dim = uint64_t{1} << arity;
+  Matrix u = Matrix::Identity(dim);
+  if (type == GateType::kMCX) {
+    u(dim - 2, dim - 2) = u(dim - 1, dim - 1) = Complex(0, 0);
+    u(dim - 2, dim - 1) = u(dim - 1, dim - 2) = Complex(1, 0);
+  } else {
+    u(dim - 1, dim - 1) = Complex(-1, 0);
+  }
+  return u;
+}
+
+/// The lowering ladder's independent reference: each gate, streamed through
+/// its lowered CompiledOp, against the dense embedding of its matrix.
 class PerGateEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PerGateEquivalenceTest, KernelMatchesDenseEmbedding) {
-  const GateCase& gc = kAllFixedArityGates[GetParam()];
-  const int n = 4;
+  const int num_fixed = static_cast<int>(std::size(kAllFixedArityGates));
+  const bool variadic = GetParam() >= num_fixed;
+  const GateCase& gc = variadic ? kVariadicGates[GetParam() - num_fixed]
+                                : kAllFixedArityGates[GetParam()];
+  const int n = variadic ? 5 : 4;
   Rng rng(500 + GetParam());
   // Random distinct operand qubits, random angles, random initial state.
   std::vector<int> qubits;
@@ -92,10 +119,11 @@ TEST_P(PerGateEquivalenceTest, KernelMatchesDenseEmbedding) {
 
   Gate gate{gc.type, qubits, {}};
   for (double a : angles) gate.params.push_back(ParamExpr::Constant(a));
-  StateVectorSimulator sim;
-  ASSERT_TRUE(sim.ApplyGate(gate, angles, state).ok());
+  StreamGate(gate, angles, state);
 
-  Matrix full = EmbedGate(n, qubits, GateMatrix(gc.type, angles));
+  Matrix full = EmbedGate(n, qubits,
+                          variadic ? VariadicMatrix(gc.type, gc.arity)
+                                   : GateMatrix(gc.type, angles));
   CVector expected = full.Apply(init);
   for (uint64_t i = 0; i < state.dim(); ++i) {
     ASSERT_NEAR(std::abs(state.amplitude(i) - expected[i]), 0.0, 1e-10)
@@ -105,7 +133,8 @@ TEST_P(PerGateEquivalenceTest, KernelMatchesDenseEmbedding) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllGates, PerGateEquivalenceTest,
-    ::testing::Range(0, static_cast<int>(std::size(kAllFixedArityGates))));
+    ::testing::Range(0, static_cast<int>(std::size(kAllFixedArityGates) +
+                                         std::size(kVariadicGates))));
 
 class RandomCircuitEquivalenceTest : public ::testing::TestWithParam<uint64_t> {
 };

@@ -313,19 +313,16 @@ Circuit BrickCircuit(int n, int layers) {
   return c;
 }
 
-TEST(CacheBlockedExecutionTest, BlockedReplayMatchesInterpreterBitwise) {
+TEST(CacheBlockedExecutionTest, BlockedReplayMatchesStreamingBitwise) {
   DispatchGuard guard;
   // 17 qubits: the state holds 2^(17 - kReplayTileBits) replay tiles, so
-  // compiled replay runs its tiled path while the interpreter applies ops
-  // one at a time over the full state. Without fusion both execute the
-  // identical op list, so amplitudes must match bit for bit — at every
-  // dispatch config.
+  // compiled replay runs its tiled path while streaming applies ops one at
+  // a time over the full state. Without fusion both execute the identical
+  // op list, so amplitudes must match bit for bit — at every dispatch
+  // config.
   const int n = 17;
   ASSERT_LT(kReplayTileBits, n);
   const Circuit circuit = BrickCircuit(n, 2);
-
-  StateVectorSimulator interpreter;
-  interpreter.set_execution_mode(ExecutionMode::kInterpreted);
 
   const CompiledCircuit compiled =
       CompiledCircuit::Compile(circuit, CompileOptions{/*fuse=*/false});
@@ -336,15 +333,15 @@ TEST(CacheBlockedExecutionTest, BlockedReplayMatchesInterpreterBitwise) {
     ASSERT_TRUE(simd::SetActiveSimdLevel(config.level));
     ThreadPool::SetGlobalThreads(config.threads);
 
-    StateVector interpreted(n);
-    ASSERT_TRUE(interpreter.RunInPlace(circuit, interpreted).ok());
+    StateVector streamed(n);
+    ASSERT_TRUE(StateVectorSimulator().RunStreamed(circuit, streamed).ok());
     StateVector blocked(n);
     ASSERT_TRUE(compiled.Execute(blocked, {}).ok());
 
     const std::string what =
         std::string("blocked ") + simd::SimdLevelName(config.level) + "/t" +
         std::to_string(config.threads);
-    ExpectBitIdentical(interpreted, blocked, what.c_str());
+    ExpectBitIdentical(streamed, blocked, what.c_str());
   }
 }
 

@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/strings.h"
 #include "fault/fault_injector.h"
 #include "serve/model_artifact.h"
@@ -340,10 +341,10 @@ std::string RebuildWithSections(
     const uint64_t offset = offsets[i], size = sections[i].second.size();
     std::memcpy(&out[e + 8], &offset, sizeof(offset));
     std::memcpy(&out[e + 16], &size, sizeof(size));
-    const uint64_t checksum = serve::Fnv1a64(sections[i].second);
+    const uint64_t checksum = Fnv1a64(sections[i].second);
     std::memcpy(&out[e + 24], &checksum, sizeof(checksum));
   }
-  const uint64_t header_checksum = serve::Fnv1a64(out);
+  const uint64_t header_checksum = Fnv1a64(out);
   std::memcpy(&out[32], &header_checksum, sizeof(header_checksum));
   out.resize(file_size, '\0');
   for (size_t i = 0; i < sections.size(); ++i) {
@@ -400,7 +401,7 @@ TEST(BinaryFormatTest, FutureFormatVersionIsUnimplemented) {
   std::string prefix = bytes.substr(0, table_end);
   const uint64_t zero = 0;
   std::memcpy(&prefix[32], &zero, sizeof(zero));
-  const uint64_t checksum = serve::Fnv1a64(prefix);
+  const uint64_t checksum = Fnv1a64(prefix);
   std::memcpy(&bytes[32], &checksum, sizeof(checksum));
   const Result<ModelArtifact> result = DeserializeBinary(bytes);
   ASSERT_FALSE(result.ok());
