@@ -7,10 +7,13 @@
 #
 #   ./scripts/bench_snapshot.sh                 # default pool width
 #   QDB_THREADS=1 ./scripts/bench_snapshot.sh   # serial baseline
+#   ./scripts/bench_snapshot.sh serve vqc       # only the named suites
 #
 # Output: BENCH_simulator.json, BENCH_qkernel.json, BENCH_gradients.json,
 #         BENCH_serve.json, BENCH_obs.json, BENCH_serve_scale.json,
-#         BENCH_store.json (E21 storage tier).
+#         BENCH_store.json (E21 storage tier). Named suites may also be any
+#         other bench binary, e.g. vqc (E2) or barren_plateau (E5), which
+#         write BENCH_vqc.json and BENCH_barren_plateau.json.
 #
 # Snapshots must come from a Release (-O2, no sanitizers, NDEBUG) build —
 # debug-build numbers are not comparable across PRs. The script refuses to
@@ -39,11 +42,15 @@ else
   tag=""
 fi
 
-cmake --build build -j --target bench_simulator --target bench_qkernel \
-  --target bench_gradients --target bench_serve --target bench_obs \
-  --target bench_serve_scale --target bench_store
+suites=("$@")
+if [[ ${#suites[@]} -eq 0 ]]; then
+  suites=(simulator qkernel gradients serve obs serve_scale store)
+fi
+targets=()
+for suite in "${suites[@]}"; do targets+=(--target "bench_${suite}"); done
+cmake --build build -j "${targets[@]}"
 
-for suite in simulator qkernel gradients serve obs serve_scale store; do
+for suite in "${suites[@]}"; do
   out="${tag}BENCH_${suite}.json"
   echo "== bench_${suite} -> ${out} =="
   "./build/bench/bench_${suite}" \
@@ -68,4 +75,4 @@ PYEOF
 done
 
 echo
-echo "snapshot written: ${tag}BENCH_simulator.json ${tag}BENCH_qkernel.json ${tag}BENCH_gradients.json ${tag}BENCH_serve.json ${tag}BENCH_obs.json ${tag}BENCH_serve_scale.json ${tag}BENCH_store.json"
+echo "snapshot written:$(printf " ${tag}BENCH_%s.json" "${suites[@]}")"

@@ -109,13 +109,18 @@ echo
 echo "== tier 1: forced-scalar dispatch (QDB_SIMD=0) =="
 # The SIMD dispatch contract says amplitudes are bit-identical at every
 # level; rerun the kernel-heavy suites with the env override forcing the
-# scalar path so the fallback stays exercised on AVX2 machines.
+# scalar path so the fallback stays exercised on AVX2 machines. The
+# serving, VQC and autodiff suites run light-cone programs (servables and
+# ExpectationFunction compile to the observable's cone), so they rerun too.
 QDB_SIMD=0 ./build/tests/statevector_test
 QDB_SIMD=0 ./build/tests/simd_equivalence_test
 QDB_SIMD=0 ./build/tests/pauli_test
 QDB_SIMD=0 ./build/tests/qaoa_test
 QDB_SIMD=0 ./build/tests/compiled_circuit_test
 QDB_SIMD=0 QDB_THREADS=4 ./build/tests/sim_parallel_test
+QDB_SIMD=0 ./build/tests/serve_test
+QDB_SIMD=0 ./build/tests/vqc_test
+QDB_SIMD=0 ./build/tests/autodiff_test
 
 echo
 echo "== tier 1: seeded chaos profiles =="

@@ -1,6 +1,8 @@
 #include "autodiff/expectation.h"
 
 #include "common/strings.h"
+#include "common/thread_pool.h"
+#include "fault/fault_injector.h"
 
 namespace qdb {
 
@@ -9,6 +11,28 @@ ExpectationFunction::ExpectationFunction(Circuit circuit, PauliSum observable)
       observable_(std::move(observable)),
       prepared_(observable_) {
   QDB_CHECK_EQ(circuit_.num_qubits(), observable_.num_qubits());
+  const int n = circuit_.num_qubits();
+  std::vector<int>& support = cone_options_.support;
+  for (int q = 0; q < n; ++q) {
+    for (const PauliTerm& term : observable_.terms()) {
+      if (term.pauli.op(q) != PauliOp::kI) {
+        support.push_back(q);
+        break;
+      }
+    }
+  }
+  if (support.empty() || static_cast<int>(support.size()) == n) return;
+  // Program qubit j of a light-cone program is source qubit cone[j]; shifted
+  // variants share the circuit's structure and so its cone.
+  const std::vector<int> cone = LightCone(circuit_, support);
+  const int k = static_cast<int>(cone.size());
+  PauliSum relabelled(k);
+  for (const PauliTerm& term : observable_.terms()) {
+    PauliString pauli(k);
+    for (int j = 0; j < k; ++j) pauli.set_op(j, term.pauli.op(cone[j]));
+    relabelled.Add(term.coefficient, pauli);
+  }
+  cone_prepared_.emplace(relabelled);
 }
 
 void ExpectationFunction::set_initial_state(StateVector state) {
@@ -16,8 +40,32 @@ void ExpectationFunction::set_initial_state(StateVector state) {
   initial_state_ = std::move(state);
 }
 
+Result<DVector> ExpectationFunction::FanOut(
+    size_t count,
+    const std::function<Result<double>(size_t)>& evaluate) const {
+  // The simulator's batch fault point, so chaos runs reach these batches.
+  QDB_FAULT_POINT("sim.run");
+  DVector values(count, 0.0);
+  std::vector<Status> statuses(count);
+  ThreadPool::Global().RunTasks(count, [&](size_t i) {
+    Result<double> value = evaluate(i);
+    if (value.ok()) values[i] = value.value();
+    statuses[i] = value.status();
+  });
+  for (const Status& status : statuses) QDB_RETURN_IF_ERROR(status);
+  return values;
+}
+
 Result<double> ExpectationFunction::RunAndMeasure(const Circuit& circuit,
                                                   const DVector& params) const {
+  if (use_cone()) {
+    const std::shared_ptr<const CompiledCircuit> program =
+        CompilationCache::Global().GetOrCompile(circuit, cone_options_);
+    StateVector state(program->num_qubits());
+    QDB_RETURN_IF_ERROR(program->Execute(state, params));
+    evaluations_.fetch_add(1, std::memory_order_relaxed);
+    return cone_prepared_->Expectation(state);
+  }
   StateVector state =
       initial_state_ ? *initial_state_ : StateVector(circuit.num_qubits());
   QDB_RETURN_IF_ERROR(simulator_.RunInPlace(circuit, state, params));
@@ -66,6 +114,11 @@ Result<DVector> ExpectationFunction::EvaluateShiftBatch(
         Circuit c, ShiftedCircuit(spec.gate_index, spec.slot, spec.delta));
     circuits.push_back(std::move(c));
   }
+  if (use_cone()) {
+    return FanOut(circuits.size(), [&](size_t i) {
+      return RunAndMeasure(circuits[i], params);
+    });
+  }
   DVector values(shifts.size(), 0.0);
   const StateVector* initial = initial_state_ ? &*initial_state_ : nullptr;
   QDB_RETURN_IF_ERROR(simulator_.RunBatchReduce(
@@ -81,6 +134,11 @@ Result<DVector> ExpectationFunction::EvaluateShiftBatch(
 
 Result<DVector> ExpectationFunction::EvaluateBatch(
     const std::vector<DVector>& params_list) const {
+  if (use_cone()) {
+    return FanOut(params_list.size(), [&](size_t i) {
+      return RunAndMeasure(circuit_, params_list[i]);
+    });
+  }
   DVector values(params_list.size(), 0.0);
   const StateVector* initial = initial_state_ ? &*initial_state_ : nullptr;
   QDB_RETURN_IF_ERROR(simulator_.RunBatchReduce(

@@ -6,12 +6,14 @@
 #define QDB_AUTODIFF_EXPECTATION_H_
 
 #include <atomic>
+#include <functional>
 #include <optional>
 #include <vector>
 
 #include "circuit/circuit.h"
 #include "common/result.h"
 #include "ops/pauli.h"
+#include "sim/compiled_circuit.h"
 #include "sim/state_vector.h"
 #include "sim/statevector_simulator.h"
 
@@ -21,8 +23,12 @@ namespace qdb {
 /// expectation of an observable after running a parameterized circuit.
 ///
 /// The circuit starts from |0...0⟩ unless an initial state is set (e.g. an
-/// amplitude-encoded data point). Evaluation counts are tracked so benches
-/// can report circuit-execution budgets.
+/// amplitude-encoded data point). From |0...0⟩, an observable that leaves
+/// some qubit untouched (⟨Z_0⟩ of a classifier, a local cost) is measured on
+/// a program compiled to its support's light cone (CompileOptions::support):
+/// the gates outside the cone and the qubits outside it are never simulated.
+/// Evaluation counts are tracked so benches can report circuit-execution
+/// budgets.
 class ExpectationFunction {
  public:
   /// The observable width must match the circuit width.
@@ -35,6 +41,8 @@ class ExpectationFunction {
       : circuit_(std::move(other.circuit_)),
         observable_(std::move(other.observable_)),
         prepared_(std::move(other.prepared_)),
+        cone_options_(std::move(other.cone_options_)),
+        cone_prepared_(std::move(other.cone_prepared_)),
         initial_state_(std::move(other.initial_state_)),
         simulator_(std::move(other.simulator_)),
         evaluations_(other.evaluations_.load(std::memory_order_relaxed)) {}
@@ -42,6 +50,8 @@ class ExpectationFunction {
     circuit_ = std::move(other.circuit_);
     observable_ = std::move(other.observable_);
     prepared_ = std::move(other.prepared_);
+    cone_options_ = std::move(other.cone_options_);
+    cone_prepared_ = std::move(other.cone_prepared_);
     initial_state_ = std::move(other.initial_state_);
     simulator_ = std::move(other.simulator_);
     evaluations_.store(other.evaluations_.load(std::memory_order_relaxed),
@@ -49,7 +59,8 @@ class ExpectationFunction {
     return *this;
   }
 
-  /// Starts runs from `state` instead of |0...0⟩ (width must match).
+  /// Starts runs from `state` instead of |0...0⟩ (width must match). Runs
+  /// are then full width: the state need not be a product.
   void set_initial_state(StateVector state);
 
   const Circuit& circuit() const { return circuit_; }
@@ -92,8 +103,19 @@ class ExpectationFunction {
   }
 
  private:
+  /// Runs `circuit` (circuit_ or a shifted variant) and measures: on the
+  /// observable's light cone when use_cone(), full width otherwise.
   Result<double> RunAndMeasure(const Circuit& circuit,
                                const DVector& params) const;
+
+  /// True when runs compile to the observable's light cone: the support is
+  /// not the whole register and runs start from |0...0⟩.
+  bool use_cone() const { return cone_prepared_ && !initial_state_; }
+
+  /// Entries [0, count) across the shared ThreadPool, entry i from
+  /// `evaluate(i)`. Fails with the first (lowest-index) error.
+  Result<DVector> FanOut(
+      size_t count, const std::function<Result<double>(size_t)>& evaluate) const;
 
   /// The circuit with one angle offset shifted; Circuit exposes no mutable
   /// gate access by design, so the variant is reconstructed gate by gate.
@@ -103,6 +125,12 @@ class ExpectationFunction {
   Circuit circuit_;
   PauliSum observable_;
   PreparedObservable prepared_;  ///< observable_, grouped once.
+  /// Compiles light-cone programs: support = the qubits observable_ acts
+  /// on, ascending.
+  CompileOptions cone_options_;
+  /// observable_ relabelled onto the light cone's qubits; unset when the
+  /// support is the whole register (or empty).
+  std::optional<PreparedObservable> cone_prepared_;
   std::optional<StateVector> initial_state_;
   StateVectorSimulator simulator_;
   mutable std::atomic<long> evaluations_{0};

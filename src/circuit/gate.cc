@@ -156,74 +156,73 @@ Matrix ControlledMatrix(const Matrix& u) {
   return c;
 }
 
-Matrix Rx(double theta) {
-  double c = std::cos(theta / 2), s = std::sin(theta / 2);
-  return Matrix{{Complex(c, 0), Complex(0, -s)}, {Complex(0, -s), Complex(c, 0)}};
-}
-
-Matrix Ry(double theta) {
-  double c = std::cos(theta / 2), s = std::sin(theta / 2);
-  return Matrix{{Complex(c, 0), Complex(-s, 0)}, {Complex(s, 0), Complex(c, 0)}};
-}
-
-Matrix Rz(double theta) {
-  Complex em = std::exp(Complex(0, -theta / 2));
-  Complex ep = std::exp(Complex(0, theta / 2));
-  return Matrix{{em, Complex(0, 0)}, {Complex(0, 0), ep}};
-}
-
 }  // namespace
 
-Matrix GateMatrix(GateType type, const DVector& angles) {
+std::array<Complex, 4> GateMatrix1Q(GateType type, const DVector& angles) {
   const double inv_sqrt2 = 1.0 / std::sqrt(2.0);
   QDB_CHECK_EQ(static_cast<int>(angles.size()), GateParamCount(type))
       << "wrong number of angles for gate " << GateTypeName(type);
+  const Complex zero(0, 0);
+  const Complex one(1, 0);
   switch (type) {
     case GateType::kI:
-      return Matrix::Identity(2);
+      return {one, zero, zero, one};
     case GateType::kX:
-      return Matrix{{{0, 0}, {1, 0}}, {{1, 0}, {0, 0}}};
+      return {zero, one, one, zero};
     case GateType::kY:
-      return Matrix{{{0, 0}, {0, -1}}, {{0, 1}, {0, 0}}};
+      return {zero, Complex(0, -1), Complex(0, 1), zero};
     case GateType::kZ:
-      return Matrix{{{1, 0}, {0, 0}}, {{0, 0}, {-1, 0}}};
+      return {one, zero, zero, Complex(-1, 0)};
     case GateType::kH:
-      return Matrix{{{inv_sqrt2, 0}, {inv_sqrt2, 0}},
-                    {{inv_sqrt2, 0}, {-inv_sqrt2, 0}}};
+      return {Complex(inv_sqrt2, 0), Complex(inv_sqrt2, 0),
+              Complex(inv_sqrt2, 0), Complex(-inv_sqrt2, 0)};
     case GateType::kS:
-      return Matrix{{{1, 0}, {0, 0}}, {{0, 0}, {0, 1}}};
+      return {one, zero, zero, Complex(0, 1)};
     case GateType::kSdg:
-      return Matrix{{{1, 0}, {0, 0}}, {{0, 0}, {0, -1}}};
+      return {one, zero, zero, Complex(0, -1)};
     case GateType::kT:
-      return Matrix{{{1, 0}, {0, 0}},
-                    {{0, 0}, {inv_sqrt2, inv_sqrt2}}};
+      return {one, zero, zero, Complex(inv_sqrt2, inv_sqrt2)};
     case GateType::kTdg:
-      return Matrix{{{1, 0}, {0, 0}},
-                    {{0, 0}, {inv_sqrt2, -inv_sqrt2}}};
+      return {one, zero, zero, Complex(inv_sqrt2, -inv_sqrt2)};
     case GateType::kSX:
       // sqrt(X) = 1/2 [[1+i, 1-i], [1-i, 1+i]]
-      return Matrix{{{0.5, 0.5}, {0.5, -0.5}}, {{0.5, -0.5}, {0.5, 0.5}}};
-    case GateType::kRX:
-      return Rx(angles[0]);
-    case GateType::kRY:
-      return Ry(angles[0]);
-    case GateType::kRZ:
-      return Rz(angles[0]);
-    case GateType::kPhase: {
-      Matrix m = Matrix::Identity(2);
-      m(1, 1) = std::exp(Complex(0, angles[0]));
-      return m;
+      return {Complex(0.5, 0.5), Complex(0.5, -0.5), Complex(0.5, -0.5),
+              Complex(0.5, 0.5)};
+    case GateType::kRX: {
+      const double c = std::cos(angles[0] / 2), s = std::sin(angles[0] / 2);
+      return {Complex(c, 0), Complex(0, -s), Complex(0, -s), Complex(c, 0)};
     }
+    case GateType::kRY: {
+      const double c = std::cos(angles[0] / 2), s = std::sin(angles[0] / 2);
+      return {Complex(c, 0), Complex(-s, 0), Complex(s, 0), Complex(c, 0)};
+    }
+    case GateType::kRZ:
+      return {std::exp(Complex(0, -angles[0] / 2)), zero, zero,
+              std::exp(Complex(0, angles[0] / 2))};
+    case GateType::kPhase:
+      return {one, zero, zero, std::exp(Complex(0, angles[0]))};
     case GateType::kU: {
       const double theta = angles[0], phi = angles[1], lambda = angles[2];
       const double c = std::cos(theta / 2), s = std::sin(theta / 2);
-      Matrix m(2, 2);
-      m(0, 0) = Complex(c, 0);
-      m(0, 1) = -std::exp(Complex(0, lambda)) * s;
-      m(1, 0) = std::exp(Complex(0, phi)) * s;
-      m(1, 1) = std::exp(Complex(0, phi + lambda)) * c;
-      return m;
+      return {Complex(c, 0), -std::exp(Complex(0, lambda)) * s,
+              std::exp(Complex(0, phi)) * s,
+              std::exp(Complex(0, phi + lambda)) * c};
     }
+    default:
+      QDB_CHECK(false) << "GateMatrix1Q on the multi-qubit gate "
+                       << GateTypeName(type);
+      return {};
+  }
+}
+
+Matrix GateMatrix(GateType type, const DVector& angles) {
+  QDB_CHECK_EQ(static_cast<int>(angles.size()), GateParamCount(type))
+      << "wrong number of angles for gate " << GateTypeName(type);
+  if (GateArity(type) == 1) {
+    const std::array<Complex, 4> u = GateMatrix1Q(type, angles);
+    return Matrix{{u[0], u[1]}, {u[2], u[3]}};
+  }
+  switch (type) {
     case GateType::kCX:
       return ControlledMatrix(GateMatrix(GateType::kX, {}));
     case GateType::kCY:
@@ -239,11 +238,11 @@ Matrix GateMatrix(GateType type, const DVector& angles) {
       return m;
     }
     case GateType::kCRX:
-      return ControlledMatrix(Rx(angles[0]));
+      return ControlledMatrix(GateMatrix(GateType::kRX, angles));
     case GateType::kCRY:
-      return ControlledMatrix(Ry(angles[0]));
+      return ControlledMatrix(GateMatrix(GateType::kRY, angles));
     case GateType::kCRZ:
-      return ControlledMatrix(Rz(angles[0]));
+      return ControlledMatrix(GateMatrix(GateType::kRZ, angles));
     case GateType::kCPhase:
       return ControlledMatrix(GateMatrix(GateType::kPhase, angles));
     case GateType::kRXX: {
@@ -282,6 +281,9 @@ Matrix GateMatrix(GateType type, const DVector& angles) {
     case GateType::kMCX:
     case GateType::kMCZ:
       QDB_CHECK(false) << "GateMatrix does not support variadic gates";
+      break;
+    default:
+      break;  // Single-qubit gates returned above.
   }
   QDB_CHECK(false) << "unreachable";
   return Matrix();

@@ -5,6 +5,7 @@
 #ifndef QDB_CIRCUIT_GATE_H_
 #define QDB_CIRCUIT_GATE_H_
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -109,6 +110,11 @@ bool IsDiagonalGate(GateType type);
 /// kMCX/kMCZ are not supported here (the simulator applies them directly);
 /// calling with those types aborts.
 Matrix GateMatrix(GateType type, const DVector& angles);
+
+/// \brief The row-major 2x2 entries of a single-qubit gate for bound angle
+/// values, without a heap Matrix: GateMatrix's single-qubit matrices are
+/// built from these entries, so both agree bit for bit.
+std::array<Complex, 4> GateMatrix1Q(GateType type, const DVector& angles);
 
 /// \brief Maps a gate type to its adjoint type for the discrete gates whose
 /// inverse is a different type (S→Sdg, T→Tdg, and vice versa). Returns the

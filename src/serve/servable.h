@@ -7,7 +7,12 @@
 /// the circuit as affine parameter expressions (θ is baked in as constants),
 /// so one CompiledCircuit serves every request and a batch of B inputs is B
 /// parameter bindings of one fused kernel program — no per-request circuit
-/// construction, no fingerprint hashing, no compilation-cache traffic. ZZ
+/// construction, no fingerprint hashing, no compilation-cache traffic.
+/// Only ⟨Z_0⟩ is read, so the program is compiled to qubit 0's light cone
+/// (CompileOptions::support = {0}): it holds the gates that can reach qubit
+/// 0 and runs on their k qubits alone — 3 of 12 for a linear 2-layer VQC —
+/// so a request replays a 2^k-amplitude state. The streamed fallback stays
+/// full width. ZZ
 /// feature maps are nonlinear in the features (RZZ angles are products), so
 /// they fall back to per-request bound circuits through the batched
 /// simulator. Kernel-SVM servables encode their support vectors once and
@@ -83,6 +88,10 @@ class ServableModel {
   /// order. Deterministic for a fixed input set at any thread count.
   Result<std::vector<InferenceValue>> RunBatch(
       RequestKind kind, const std::vector<DVector>& inputs) const;
+
+  /// The compiled symbolic program — qubit 0's light cone, k qubits wide —
+  /// or null for the ZZ per-request path and non-variational types.
+  const CompiledCircuit* program() const { return program_.get(); }
 
   /// Number of RunBatch calls that reached the simulator — lets tests
   /// assert that cancelled or cached work never executed.

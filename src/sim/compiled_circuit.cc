@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <deque>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -24,6 +25,7 @@ namespace {
 struct CompiledCounters {
   obs::Counter* circuits = obs::GetCounter("compile.circuits");
   obs::Counter* source_gates = obs::GetCounter("compile.source_gates");
+  obs::Counter* pruned_gates = obs::GetCounter("compile.pruned_gates");
   obs::Counter* ops_emitted = obs::GetCounter("compile.ops_emitted");
   obs::Counter* cache_hits = obs::GetCounter("compile.cache_hits");
   obs::Counter* cache_misses = obs::GetCounter("compile.cache_misses");
@@ -60,45 +62,55 @@ CompiledCounters& Counters() {
   return counters;
 }
 
-bool IsControlled2QForm(GateType type) {
+/// The single-qubit gate a controlled two-qubit form applies to its target
+/// when the control is set; kI for every other type.
+GateType ControlledBase(GateType type) {
   switch (type) {
-    case GateType::kCY:
-    case GateType::kCH:
-    case GateType::kCRX:
-    case GateType::kCRY:
-    case GateType::kCRZ:
-      return true;
-    default:
-      return false;
+    case GateType::kCY: return GateType::kY;
+    case GateType::kCZ: return GateType::kZ;
+    case GateType::kCH: return GateType::kH;
+    case GateType::kCRX: return GateType::kRX;
+    case GateType::kCRY: return GateType::kRY;
+    case GateType::kCRZ: return GateType::kRZ;
+    case GateType::kCPhase: return GateType::kPhase;
+    default: return GateType::kI;
   }
 }
 
 /// Computes the kernel kind and payload for a bound arity-1/2 gate: diagonal
 /// gates get the diagonal kernels, the controlled two-qubit forms their 2x2
-/// block, everything else the dense 2x2 or 4x4.
+/// block, everything else the dense 2x2 or 4x4. Single-qubit, controlled and
+/// diagonal payloads come from GateMatrix1Q's entries, with no heap Matrix;
+/// they equal GateMatrix's entries bit for bit.
 void LowerBound(GateType type, const DVector& angles, CompiledOp* op) {
-  Matrix u = GateMatrix(type, angles);
   const int arity = GateArity(type);
   if (arity == 1) {
+    const std::array<Complex, 4> u = GateMatrix1Q(type, angles);
     if (IsDiagonalGate(type)) {
       op->kind = CompiledOpKind::k1QDiag;
-      op->c = {u(0, 0), u(1, 1), Complex(0, 0), Complex(0, 0)};
+      op->c = {u[0], u[3], Complex(0, 0), Complex(0, 0)};
     } else {
       op->kind = CompiledOpKind::k1QDense;
-      op->c = {u(0, 0), u(0, 1), u(1, 0), u(1, 1)};
+      op->c = u;
     }
     return;
   }
   QDB_CHECK_EQ(arity, 2);
-  if (IsDiagonalGate(type)) {
+  const GateType base = ControlledBase(type);
+  if (type == GateType::kRZZ) {
+    const std::array<Complex, 4> u = GateMatrix1Q(GateType::kRZ, angles);
     op->kind = CompiledOpKind::k2QDiag;
-    op->c = {u(0, 0), u(1, 1), u(2, 2), u(3, 3)};
-  } else if (IsControlled2QForm(type)) {
-    op->kind = CompiledOpKind::kControlled1Q;
-    op->c = {u(2, 2), u(2, 3), u(3, 2), u(3, 3)};
-  } else {
+    op->c = {u[0], u[3], u[3], u[0]};
+  } else if (base == GateType::kI) {
     op->kind = CompiledOpKind::k2QDense;
-    op->m = std::move(u);
+    op->m = GateMatrix(type, angles);
+  } else if (IsDiagonalGate(type)) {
+    const std::array<Complex, 4> u = GateMatrix1Q(base, angles);
+    op->kind = CompiledOpKind::k2QDiag;
+    op->c = {Complex(1, 0), Complex(1, 0), u[0], u[3]};
+  } else {
+    op->kind = CompiledOpKind::kControlled1Q;
+    op->c = GateMatrix1Q(base, angles);
   }
 }
 
@@ -975,6 +987,31 @@ void CountOp(const CompiledOp& op, long dim, CompiledCounters& counters) {
 
 }  // namespace
 
+std::vector<int> LightCone(const Circuit& circuit,
+                           const std::vector<int>& support,
+                           std::vector<bool>* keep) {
+  const int n = circuit.num_qubits();
+  std::vector<bool> in_cone(static_cast<size_t>(n), support.empty());
+  for (int q : support) {
+    QDB_CHECK(q >= 0 && q < n) << "support qubit " << q << " out of range";
+    in_cone[static_cast<size_t>(q)] = true;
+  }
+  const std::vector<Gate>& gates = circuit.gates();
+  if (keep != nullptr) keep->assign(gates.size(), false);
+  for (size_t i = gates.size(); i-- > 0;) {
+    bool touches = false;
+    for (int q : gates[i].qubits) touches |= in_cone[static_cast<size_t>(q)];
+    if (!touches) continue;
+    for (int q : gates[i].qubits) in_cone[static_cast<size_t>(q)] = true;
+    if (keep != nullptr) (*keep)[i] = true;
+  }
+  std::vector<int> qubits;
+  for (int q = 0; q < n; ++q) {
+    if (in_cone[static_cast<size_t>(q)]) qubits.push_back(q);
+  }
+  return qubits;
+}
+
 void StreamGate(const Gate& gate, const DVector& angles, StateVector& state) {
   CompiledOp op;
   if (!LowerBoundGate(gate, angles, &op)) return;
@@ -986,18 +1023,39 @@ CompiledCircuit CompiledCircuit::Compile(const Circuit& circuit,
                                          const CompileOptions& options) {
   QDB_TRACE_SCOPE("CompiledCircuit::Compile", "compile");
   CompiledCircuit compiled;
-  compiled.num_qubits_ = circuit.num_qubits();
   compiled.num_parameters_ = circuit.num_parameters();
-  compiled.stats_.source_gates = circuit.size();
+
+  // The light cone: drop the gates outside it, then relabel its qubits
+  // 0..k−1 in ascending order before lowering.
+  std::vector<bool> keep;
+  compiled.source_qubits_ = LightCone(circuit, options.support, &keep);
+  compiled.num_qubits_ = static_cast<int>(compiled.source_qubits_.size());
+  const bool relabel = compiled.num_qubits_ < circuit.num_qubits();
+  std::vector<int> program_qubit(static_cast<size_t>(circuit.num_qubits()));
+  for (int p = 0; p < compiled.num_qubits_; ++p) {
+    program_qubit[static_cast<size_t>(compiled.source_qubits_[p])] = p;
+  }
 
   std::vector<CompiledOp> ops;
   ops.reserve(circuit.size());
-  for (const Gate& gate : circuit.gates()) LowerGate(gate, ops);
+  for (size_t i = 0; i < circuit.size(); ++i) {
+    const Gate& gate = circuit.gates()[i];
+    if (!keep[i]) {
+      ++compiled.stats_.pruned_gates;
+    } else if (relabel) {
+      Gate relabelled = gate;
+      for (int& q : relabelled.qubits) q = program_qubit[static_cast<size_t>(q)];
+      LowerGate(relabelled, ops);
+    } else {
+      LowerGate(gate, ops);
+    }
+  }
+  compiled.stats_.source_gates = circuit.size() - compiled.stats_.pruned_gates;
   compiled.stats_.lowered_ops = ops.size();
 
   if (options.fuse) {
-    ops = FusePass(std::move(ops), circuit.num_qubits(), compiled.stats_);
-    ops = DiagonalRunPass(std::move(ops), circuit.num_qubits(),
+    ops = FusePass(std::move(ops), compiled.num_qubits_, compiled.stats_);
+    ops = DiagonalRunPass(std::move(ops), compiled.num_qubits_,
                           compiled.stats_);
     OrderSingleQubitRuns(ops);
     compiled.stats_.product_prefix_ops = ProductPrefixLength(ops);
@@ -1009,6 +1067,8 @@ CompiledCircuit CompiledCircuit::Compile(const Circuit& circuit,
   counters.circuits->Increment();
   counters.source_gates->Increment(
       static_cast<long>(compiled.stats_.source_gates));
+  counters.pruned_gates->Increment(
+      static_cast<long>(compiled.stats_.pruned_gates));
   counters.ops_emitted->Increment(
       static_cast<long>(compiled.stats_.emitted_ops));
   counters.fused_1q1q->Increment(static_cast<long>(compiled.stats_.fused_1q1q));
@@ -1047,7 +1107,13 @@ Status CompiledCircuit::ExecuteWithTileBits(StateVector& state,
         StrCat("replay tiles need at least ", kWalshBlockBits, " bits, got ",
                tile_bits));
   }
-  QDB_TRACE_SCOPE("CompiledCircuit::Execute", "sim");
+  // Replays that reach the parallel threshold get a span; below it a replay
+  // takes microseconds, and a span (two clock reads and a ring write) would
+  // cost a tenth of a few-qubit one.
+  std::optional<obs::TraceSpan> span;
+  if (state.dim() >= kParallelAmplitudeThreshold) {
+    span.emplace("CompiledCircuit::Execute", "sim");
+  }
   CompiledCounters& counters = Counters();
   counters.replays->Increment();
   if (replays_by_qubits_ != nullptr) replays_by_qubits_->Increment();
@@ -1118,8 +1184,13 @@ CompilationCache& CompilationCache::Global() {
 
 std::shared_ptr<const CompiledCircuit> CompilationCache::GetOrCompile(
     const Circuit& circuit, const CompileOptions& options) {
-  std::string key = circuit.StructuralFingerprint();
+  // "q,q,…;" then the fuse flag: a self-delimiting prefix, so no two
+  // (options, circuit) pairs share a key.
+  std::string key;
+  for (int q : options.support) key += StrCat(q, ",");
+  key.push_back(';');
   key.push_back(options.fuse ? '\1' : '\0');
+  key += circuit.StructuralFingerprint();
   CompiledCounters& counters = Counters();
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);

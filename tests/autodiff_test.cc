@@ -58,6 +58,54 @@ TEST(ExpectationFunctionTest, ShiftErrorsOutOfRange) {
   EXPECT_FALSE(f.EvaluateWithShift({0.1}, 0, 3, 0.1).ok());
 }
 
+TEST(ExpectationFunctionTest, LightConeMatchesFullWidth) {
+  // The observable acts on qubit 1 only, so runs from |0…0⟩ compile to its
+  // light cone; with an initial state set they run full width.
+  const Circuit c = RealAmplitudesAnsatz(5, 2, Entanglement::kLinear);
+  PauliSum obs(5);
+  obs.Add(0.7, PauliString::Single(5, 1, PauliOp::kZ));
+  obs.Add(-0.4, PauliString::Single(5, 1, PauliOp::kX));
+  ExpectationFunction cone(c, obs);
+  ExpectationFunction full(c, obs);
+  full.set_initial_state(StateVector(5));
+  Rng rng(9);
+  const DVector theta = rng.UniformVector(c.num_parameters(), -2.0, 2.0);
+  auto a = cone.Evaluate(theta);
+  auto b = full.Evaluate(theta);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_NEAR(a.value(), b.value(), 1e-12);
+  const std::vector<DVector> batch = {theta, DVector(theta.size(), 0.3)};
+  auto batch_a = cone.EvaluateBatch(batch);
+  auto batch_b = full.EvaluateBatch(batch);
+  ASSERT_TRUE(batch_a.ok() && batch_b.ok());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_NEAR(batch_a.value()[i], batch_b.value()[i], 1e-12);
+  }
+  auto grad_a = ParameterShiftGradient(cone, theta);
+  auto grad_b = ParameterShiftGradient(full, theta);
+  ASSERT_TRUE(grad_a.ok() && grad_b.ok());
+  for (size_t k = 0; k < theta.size(); ++k) {
+    EXPECT_NEAR(grad_a.value()[k], grad_b.value()[k], 1e-12) << k;
+  }
+  EXPECT_EQ(cone.evaluation_count(), full.evaluation_count());
+}
+
+TEST(ParameterShiftTest, GateOutsideLightConeHasExactlyZeroGradient) {
+  // ⟨Z_0⟩ = cos θ0: CX(0,1) leaves qubit 0's populations alone, and
+  // RY(θ1) on qubit 1 and RY(θ2) on qubit 2 come after the last gate that
+  // touches qubit 0, so they lie outside its light cone and are never run.
+  Circuit c(3);
+  c.RY(0, ParamExpr::Variable(0)).H(1).H(2).CX(0, 1);
+  c.RY(1, ParamExpr::Variable(1)).CX(1, 2).RY(2, ParamExpr::Variable(2));
+  ExpectationFunction f(c, ZObservable(3));
+  const DVector theta = {0.8, -1.1, 0.4};
+  auto grad = ParameterShiftGradient(f, theta);
+  ASSERT_TRUE(grad.ok()) << grad.status();
+  EXPECT_NEAR(grad.value()[0], -std::sin(theta[0]), 1e-12);
+  EXPECT_EQ(grad.value()[1], 0.0);
+  EXPECT_EQ(grad.value()[2], 0.0);
+}
+
 TEST(ParameterShiftTest, AnalyticGradientOfRx) {
   Circuit c(1);
   c.RX(0, ParamExpr::Variable(0));

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <cmath>
 #include <thread>
 #include <vector>
@@ -454,6 +456,230 @@ TEST(CompiledCircuitTest, ProductPrefixOnOtherStatesReplaysItsOps) {
     EXPECT_EQ(product_states->Value(), before);
     ExpectNear(expected, state, 1e-12);
   }
+}
+
+// ---- Light cones -------------------------------------------------------------
+
+/// A random circuit over every gate type of the IR: fixed and parametric
+/// (symbolic) 1Q and 2Q gates, CCX, CSwap, and MCX/MCZ with 1–3 controls.
+Circuit RandomEveryGateCircuit(int n, int gates, Rng& rng) {
+  static constexpr GateType kTypes[] = {
+      GateType::kI,     GateType::kX,     GateType::kY,      GateType::kZ,
+      GateType::kH,     GateType::kS,     GateType::kSdg,    GateType::kT,
+      GateType::kTdg,   GateType::kSX,    GateType::kRX,     GateType::kRY,
+      GateType::kRZ,    GateType::kPhase, GateType::kU,      GateType::kCX,
+      GateType::kCY,    GateType::kCZ,    GateType::kCH,     GateType::kSwap,
+      GateType::kCRX,   GateType::kCRY,   GateType::kCRZ,    GateType::kCPhase,
+      GateType::kRXX,   GateType::kRYY,   GateType::kRZZ,    GateType::kCCX,
+      GateType::kCSwap, GateType::kMCX,   GateType::kMCZ};
+  Circuit c(n);
+  int next_param = 0;
+  for (int g = 0; g < gates; ++g) {
+    const GateType type = kTypes[rng.UniformInt(uint64_t{std::size(kTypes)})];
+    int arity = GateArity(type);
+    if (arity == 0) {  // MCX/MCZ: 1–3 controls plus the target.
+      arity = 2 + static_cast<int>(rng.UniformInt(uint64_t(std::min(3, n - 1))));
+    }
+    if (arity > n) continue;
+    std::vector<int> qubits(static_cast<size_t>(n));
+    for (int q = 0; q < n; ++q) qubits[static_cast<size_t>(q)] = q;
+    for (int i = 0; i < arity; ++i) {  // A random arity-prefix permutation.
+      const int j = i + static_cast<int>(rng.UniformInt(uint64_t(n - i)));
+      std::swap(qubits[static_cast<size_t>(i)], qubits[static_cast<size_t>(j)]);
+    }
+    qubits.resize(static_cast<size_t>(arity));
+    std::vector<ParamExpr> params;
+    for (int k = 0; k < GateParamCount(type); ++k) {
+      params.push_back(rng.UniformInt(uint64_t{2}) == 0
+                           ? ParamExpr::Affine(next_param++,
+                                               rng.Uniform(0.5, 1.5),
+                                               rng.Uniform(-0.3, 0.3))
+                           : ParamExpr::Constant(rng.Uniform(-1.5, 1.5)));
+    }
+    c.Append(Gate{type, std::move(qubits), std::move(params)});
+  }
+  return c;
+}
+
+/// A random Pauli sum acting on exactly the qubits of `support`.
+PauliSum RandomObservableOn(int n, const std::vector<int>& support, Rng& rng) {
+  static constexpr PauliOp kOps[] = {PauliOp::kX, PauliOp::kY, PauliOp::kZ};
+  PauliSum obs(n);
+  for (int t = 0; t < 3; ++t) {
+    PauliString pauli(n);
+    for (int q : support) pauli.set_op(q, kOps[rng.UniformInt(uint64_t{3})]);
+    obs.Add(rng.Uniform(-1.0, 1.0), pauli);
+  }
+  return obs;
+}
+
+/// `obs` restricted to a program's qubits: program qubit j is source qubit
+/// source_qubits[j].
+PauliSum RelabelOnto(const PauliSum& obs, const std::vector<int>& source_qubits) {
+  const int k = static_cast<int>(source_qubits.size());
+  PauliSum out(k);
+  for (const PauliTerm& term : obs.terms()) {
+    PauliString pauli(k);
+    for (int j = 0; j < k; ++j) {
+      pauli.set_op(j, term.pauli.op(source_qubits[static_cast<size_t>(j)]));
+    }
+    out.Add(term.coefficient, pauli);
+  }
+  return out;
+}
+
+TEST(CompiledCircuitTest, LightConeProgramsMatchFullWidthExpectations) {
+  Rng rng(71);
+  int pruned_programs = 0;
+  for (int trial = 0; trial < 160; ++trial) {
+    const int n = 3 + trial % 8;
+    const Circuit c = RandomEveryGateCircuit(n, 2 * n, rng);
+    std::vector<int> support;
+    const int width = 1 + static_cast<int>(rng.UniformInt(uint64_t{3}));
+    for (int q = 0; q < n; ++q) {
+      if (static_cast<int>(support.size()) < width &&
+          rng.UniformInt(uint64_t(n)) < uint64_t(width)) {
+        support.push_back(q);
+      }
+    }
+    if (support.empty()) support.push_back(n - 1);
+    const PauliSum obs = RandomObservableOn(n, support, rng);
+    const DVector params =
+        rng.UniformVector(c.num_parameters(), -2.0, 2.0);
+    const double full = Expectation(RunStreamed(c, params), obs);
+    for (bool fuse : {false, true}) {
+      const CompiledCircuit program = CompiledCircuit::Compile(
+          c, CompileOptions{.fuse = fuse, .support = support});
+      ASSERT_EQ(static_cast<int>(program.source_qubits().size()),
+                program.num_qubits());
+      ASSERT_EQ(program.stats().source_gates + program.stats().pruned_gates,
+                c.size());
+      pruned_programs += fuse && program.num_qubits() < n;
+      StateVector state(program.num_qubits());
+      ASSERT_TRUE(program.Execute(state, params).ok());
+      EXPECT_NEAR(Expectation(state, RelabelOnto(obs, program.source_qubits())),
+                  full, 1e-12)
+          << "trial " << trial << " n=" << n << " fuse=" << fuse;
+    }
+  }
+  EXPECT_GT(pruned_programs, 40) << "too few cones narrower than the register";
+}
+
+TEST(CompiledCircuitTest, LightConeOfKnownCircuit) {
+  // Backwards from qubit 0: RY(0), CX(0,1) → {0,1}; CX(1,2) → {0,1,2};
+  // RZ(3) and CX(3,4) never meet the cone.
+  Circuit c(5);
+  c.H(0).H(1).CX(1, 2).RZ(3, 0.4).CX(0, 1).CX(3, 4).RY(0, 0.2).X(2);
+  std::vector<bool> keep;
+  EXPECT_EQ(LightCone(c, {0}, &keep), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(keep, (std::vector<bool>{true, true, true, false, true, false,
+                                     true, false}));
+  const CompiledCircuit program =
+      CompiledCircuit::Compile(c, CompileOptions{.fuse = false, .support = {0}});
+  EXPECT_EQ(program.num_qubits(), 3);
+  EXPECT_EQ(program.stats().source_gates, 5u);
+  EXPECT_EQ(program.stats().pruned_gates, 3u);
+  // Relabelled: the cone's qubits {0,1,2} keep their order.
+  ASSERT_EQ(program.num_ops(), 5u);
+  EXPECT_EQ(program.ops()[2].q0, 1);
+  EXPECT_EQ(program.ops()[2].q1, 2);
+  // Support {3} keeps RZ(3) and CX(3,4), relabelled onto qubits {0, 1}.
+  const CompiledCircuit other = CompiledCircuit::Compile(
+      c, CompileOptions{.fuse = false, .support = {3}});
+  EXPECT_EQ(other.source_qubits(), (std::vector<int>{3, 4}));
+  ASSERT_EQ(other.num_ops(), 2u);
+  EXPECT_EQ(other.ops()[1].q0, 0);
+  EXPECT_EQ(other.ops()[1].q1, 1);
+}
+
+/// Every field of two ops, payloads bitwise.
+void ExpectSameOp(const CompiledOp& a, const CompiledOp& b) {
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.src, b.src);
+  EXPECT_EQ(a.q0, b.q0);
+  EXPECT_EQ(a.q1, b.q1);
+  EXPECT_EQ(a.c, b.c);
+  EXPECT_TRUE(a.m.rows() == b.m.rows() && a.m.cols() == b.m.cols());
+  for (size_t r = 0; r < a.m.rows() && r < b.m.rows(); ++r) {
+    for (size_t col = 0; col < a.m.cols() && col < b.m.cols(); ++col) {
+      EXPECT_EQ(a.m(r, col), b.m(r, col));
+    }
+  }
+  EXPECT_EQ(a.qubits, b.qubits);
+  EXPECT_EQ(a.exprs.size(), b.exprs.size());
+  EXPECT_EQ(a.walsh.size(), b.walsh.size());
+  for (size_t i = 0; i < a.walsh.size() && i < b.walsh.size(); ++i) {
+    EXPECT_EQ(a.walsh[i].mask, b.walsh[i].mask);
+    EXPECT_EQ(a.walsh[i].coefficient, b.walsh[i].coefficient);
+  }
+  EXPECT_EQ(a.members.size(), b.members.size());
+  EXPECT_EQ(a.fused_gates, b.fused_gates);
+}
+
+void ExpectSameProgram(const CompiledCircuit& a, const CompiledCircuit& b) {
+  EXPECT_EQ(a.num_qubits(), b.num_qubits());
+  EXPECT_EQ(a.source_qubits(), b.source_qubits());
+  const CompileStats& x = a.stats();
+  const CompileStats& y = b.stats();
+  EXPECT_EQ(x.source_gates, y.source_gates);
+  EXPECT_EQ(x.pruned_gates, y.pruned_gates);
+  EXPECT_EQ(x.lowered_ops, y.lowered_ops);
+  EXPECT_EQ(x.emitted_ops, y.emitted_ops);
+  EXPECT_EQ(x.fused_1q1q, y.fused_1q1q);
+  EXPECT_EQ(x.fused_diag, y.fused_diag);
+  EXPECT_EQ(x.fused_1q2q, y.fused_1q2q);
+  EXPECT_EQ(x.fused_2q2q, y.fused_2q2q);
+  EXPECT_EQ(x.diagonal_runs, y.diagonal_runs);
+  EXPECT_EQ(x.diagonal_run_gates, y.diagonal_run_gates);
+  EXPECT_EQ(x.product_prefix_ops, y.product_prefix_ops);
+  ASSERT_EQ(a.num_ops(), b.num_ops());
+  for (size_t i = 0; i < a.num_ops(); ++i) ExpectSameOp(a.ops()[i], b.ops()[i]);
+}
+
+TEST(CompiledCircuitTest, WholeRegisterSupportCompilesTodaysProgram) {
+  Rng rng(83);
+  std::vector<Circuit> circuits = {JoinOrderQaoaCircuit()};
+  for (int n = 3; n <= 10; ++n) {
+    circuits.push_back(RandomEveryGateCircuit(n, 4 * n, rng));
+  }
+  for (const Circuit& c : circuits) {
+    const int n = c.num_qubits();
+    std::vector<int> all(static_cast<size_t>(n));
+    for (int q = 0; q < n; ++q) all[static_cast<size_t>(q)] = q;
+    const DVector params = rng.UniformVector(c.num_parameters(), -2.0, 2.0);
+    for (bool fuse : {false, true}) {
+      const CompiledCircuit today =
+          CompiledCircuit::Compile(c, CompileOptions{.fuse = fuse});
+      const CompiledCircuit whole = CompiledCircuit::Compile(
+          c, CompileOptions{.fuse = fuse, .support = all});
+      EXPECT_EQ(today.stats().pruned_gates, 0u);
+      EXPECT_EQ(today.stats().source_gates, c.size());
+      ExpectSameProgram(today, whole);
+      StateVector a(n), b(n);
+      ASSERT_TRUE(today.Execute(a, params).ok());
+      ASSERT_TRUE(whole.Execute(b, params).ok());
+      ExpectBitIdentical(a, b);
+    }
+  }
+}
+
+TEST(CompiledCircuitTest, CacheKeysOnSupport) {
+  CompilationCache& cache = CompilationCache::Global();
+  cache.Clear();
+  Circuit c(3);
+  c.H(0).CX(0, 1).RY(2, 0.3).CX(1, 2);
+  const auto whole = cache.GetOrCompile(c);
+  const auto cone0 = cache.GetOrCompile(c, CompileOptions{.support = {0}});
+  const auto cone2 = cache.GetOrCompile(c, CompileOptions{.support = {2}});
+  EXPECT_EQ(whole->num_qubits(), 3);
+  EXPECT_EQ(cone0->num_qubits(), 2);  // H(0), CX(0,1): qubits {0, 1}.
+  EXPECT_EQ(cone2->num_qubits(), 3);
+  EXPECT_NE(cone2.get(), whole.get());
+  EXPECT_EQ(cache.GetOrCompile(c, CompileOptions{.support = {0}}).get(),
+            cone0.get());
+  EXPECT_EQ(cache.stats().misses, 3);
+  EXPECT_EQ(cache.stats().hits, 1);
+  cache.Clear();
 }
 
 TEST(CompiledCircuitTest, CacheHitsAndStructuralKeys) {

@@ -209,6 +209,39 @@ TEST(ServableTest, SymbolicCircuitMatchesBoundCircuit) {
   }
 }
 
+TEST(ServableTest, VqcServesQubitZerosLightCone) {
+  // 12 qubits, linear entanglement, 2 layers: 70 gates, of which ⟨Z_0⟩'s
+  // light cone holds 12 on qubits {0, 1, 2}.
+  ModelArtifact a = TinyVqcArtifact("cone");
+  a.num_features = 12;
+  a.ansatz_layers = 2;
+  a.params.clear();
+  for (int i = 0; i < RealAmplitudesParamCount(12, 2); ++i) {
+    a.params.push_back(0.3 + 0.17 * static_cast<double>(i));
+  }
+  auto servable = ServableModel::Create(a);
+  ASSERT_TRUE(servable.ok()) << servable.status();
+  const CompiledCircuit* program = servable.value()->program();
+  ASSERT_NE(program, nullptr);
+  EXPECT_EQ(program->num_qubits(), 3);
+  EXPECT_EQ(program->source_qubits(), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(program->stats().source_gates, 12u);
+  EXPECT_EQ(program->stats().pruned_gates, 58u);
+
+  Rng rng(5);
+  std::vector<DVector> inputs;
+  for (int i = 0; i < 6; ++i) inputs.push_back(rng.UniformVector(12, 0.0, M_PI));
+  auto out = servable.value()->RunBatch(RequestKind::kPredict, inputs);
+  ASSERT_TRUE(out.ok()) << out.status();
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    auto bound = BuildBoundInferenceCircuit(a, inputs[i]);
+    ASSERT_TRUE(bound.ok()) << bound.status();
+    StateVector state(12);
+    ASSERT_TRUE(StateVectorSimulator().RunStreamed(bound.value(), state).ok());
+    EXPECT_NEAR(out.value()[i].value, ExpectationZ(state, 0), 1e-12) << i;
+  }
+}
+
 TEST(ServableTest, ZzEncodingHasNoSymbolicCircuit) {
   ModelArtifact a = TinyVqcArtifact("zz", VqcEncoding::kZZFeatureMap);
   auto symbolic = BuildSymbolicInferenceCircuit(a);
