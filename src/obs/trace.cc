@@ -142,7 +142,9 @@ TraceSpan::~TraceSpan() {
   TraceLog::Global().Record(event);
 }
 
-TraceLog::TraceLog() { SetCapacity(1 << 16); }
+// The default ring (65 536 events) is allocated by the first Record, so a
+// process that never traces never holds one.
+TraceLog::TraceLog() = default;
 
 TraceLog& TraceLog::Global() {
   static TraceLog* log = new TraceLog();
@@ -150,7 +152,17 @@ TraceLog& TraceLog::Global() {
 }
 
 void TraceLog::Record(const TraceEvent& event) {
-  Ring& ring = *ring_.load(std::memory_order_acquire);
+  Ring* installed = ring_.load(std::memory_order_acquire);
+  if (installed == nullptr) {
+    std::lock_guard<std::mutex> lock(mu_);
+    installed = ring_.load(std::memory_order_acquire);
+    if (installed == nullptr) {
+      rings_.push_back(std::make_unique<Ring>(size_t{1} << 16));
+      installed = rings_.back().get();
+      ring_.store(installed, std::memory_order_release);
+    }
+  }
+  Ring& ring = *installed;
   const uint64_t ticket = ring.next.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = ring.slots[ticket % ring.capacity];
   constexpr auto kRelaxed = std::memory_order_relaxed;
@@ -175,7 +187,9 @@ void TraceLog::Window(const Ring& ring, uint64_t* first, uint64_t* next) {
 }
 
 std::vector<TraceEvent> TraceLog::Snapshot() const {
-  const Ring& ring = *ring_.load(std::memory_order_acquire);
+  const Ring* installed = ring_.load(std::memory_order_acquire);
+  if (installed == nullptr) return {};
+  const Ring& ring = *installed;
   uint64_t first = 0, next = 0;
   Window(ring, &first, &next);
   constexpr auto kRelaxed = std::memory_order_relaxed;
@@ -202,13 +216,17 @@ std::vector<TraceEvent> TraceLog::Snapshot() const {
 }
 
 size_t TraceLog::size() const {
+  const Ring* ring = ring_.load(std::memory_order_acquire);
+  if (ring == nullptr) return 0;
   uint64_t first = 0, next = 0;
-  Window(*ring_.load(std::memory_order_acquire), &first, &next);
+  Window(*ring, &first, &next);
   return static_cast<size_t>(next - first);
 }
 
 size_t TraceLog::dropped() const {
-  const Ring& ring = *ring_.load(std::memory_order_acquire);
+  const Ring* installed = ring_.load(std::memory_order_acquire);
+  if (installed == nullptr) return 0;
+  const Ring& ring = *installed;
   uint64_t first = 0, next = 0;
   Window(ring, &first, &next);
   const uint64_t cleared = ring.first.load(std::memory_order_acquire);
@@ -217,9 +235,10 @@ size_t TraceLog::dropped() const {
 
 void TraceLog::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  Ring& ring = *ring_.load(std::memory_order_acquire);
-  ring.first.store(ring.next.load(std::memory_order_acquire),
-                   std::memory_order_release);
+  Ring* ring = ring_.load(std::memory_order_acquire);
+  if (ring == nullptr) return;
+  ring->first.store(ring->next.load(std::memory_order_acquire),
+                    std::memory_order_release);
 }
 
 void TraceLog::SetCapacity(size_t capacity) {

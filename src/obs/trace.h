@@ -104,7 +104,8 @@ class ContextGuard {
 /// takes no lock: a writer claims a ticket with one atomic increment and
 /// fills its slot, so threads recording at once never wait on each other.
 /// Snapshot keeps only slots whose write completed (a per-slot sequence
-/// number, read before and after the fields, tells it).
+/// number, read before and after the fields, tells it). The first Record
+/// allocates the default ring, so a process that never traces holds none.
 class TraceLog {
  public:
   static TraceLog& Global();
