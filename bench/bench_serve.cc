@@ -68,7 +68,8 @@ ModelArtifact SyntheticKernelArtifact() {
   return a;
 }
 
-ModelArtifact SyntheticVqcArtifact() {
+ModelArtifact SyntheticVqcArtifact(
+    Entanglement entanglement = Entanglement::kLinear) {
   Rng rng(31);
   ModelArtifact a;
   a.type = ModelType::kVqcClassifier;
@@ -76,7 +77,7 @@ ModelArtifact SyntheticVqcArtifact() {
   a.num_features = kQubits;
   a.encoding = VqcEncoding::kAngle;
   a.ansatz_layers = 2;
-  a.entanglement = Entanglement::kLinear;
+  a.entanglement = entanglement;
   a.feature_scale = 1.0;
   a.params.resize(RealAmplitudesParamCount(kQubits, a.ansatz_layers));
   for (auto& p : a.params) p = rng.Uniform(-0.5, 0.5);
@@ -261,6 +262,43 @@ BENCHMARK(BM_VqcServing)
     ->Arg(kSingleRequest)
     ->Arg(kServedBatched)
     ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// One servable batch of range(1) inputs, called directly (no server, no
+// queue): the servable's own execution per batch. range(0) picks the
+// ansatz entanglement. Qubit 0's light cone of the linear 2-layer VQC is 3
+// qubits wide; a circular entangler couples qubit 0 to qubit 11, so its
+// cone is the whole 12-qubit register and every input replays a 2^12 state.
+void BM_VqcServableBatch(benchmark::State& state) {
+  const auto entanglement = static_cast<Entanglement>(state.range(0));
+  const int batch = static_cast<int>(state.range(1));
+  ModelRegistry registry;
+  auto servable = registry.Register(SyntheticVqcArtifact(entanglement));
+  if (!servable.ok()) {
+    state.SkipWithError(servable.status().ToString().c_str());
+    return;
+  }
+  const std::vector<DVector> inputs = MakeQueries(batch, 47);
+  for (auto _ : state) {
+    auto values = servable.value()->RunBatch(RequestKind::kPredict, inputs);
+    if (!values.ok()) {
+      state.SkipWithError(values.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(values.value().data());
+  }
+  state.SetLabel(entanglement == Entanglement::kLinear ? "linear" : "circular");
+  state.counters["req_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * batch),
+      benchmark::Counter::kIsRate);
+}
+
+BENCHMARK(BM_VqcServableBatch)
+    ->ArgNames({"ent", "batch"})
+    ->ArgsProduct({{static_cast<int>(Entanglement::kLinear),
+                    static_cast<int>(Entanglement::kCircular)},
+                   {1, 2, 4, 16}})
+    ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
 
 void BM_ResultCacheHitRate(benchmark::State& state) {

@@ -1,8 +1,11 @@
 #include "autodiff/expectation.h"
 
+#include <algorithm>
+
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "fault/fault_injector.h"
+#include "obs/trace.h"
 
 namespace qdb {
 
@@ -40,15 +43,38 @@ void ExpectationFunction::set_initial_state(StateVector state) {
   initial_state_ = std::move(state);
 }
 
-Result<DVector> ExpectationFunction::FanOut(
-    size_t count,
-    const std::function<Result<double>(size_t)>& evaluate) const {
-  // The simulator's batch fault point, so chaos runs reach these batches.
+std::shared_ptr<const CompiledCircuit> ExpectationFunction::Program(
+    const Circuit& circuit) const {
+  return CompilationCache::Global().GetOrCompile(
+      circuit, use_cone() ? cone_options_ : CompileOptions{});
+}
+
+Result<double> ExpectationFunction::Measure(const CompiledCircuit& program,
+                                            const DVector& params) const {
+  // With an initial state set the program is full width (use_cone() is
+  // false), so the state fits it.
+  StateVector state =
+      initial_state_ ? *initial_state_ : StateVector(program.num_qubits());
+  QDB_RETURN_IF_ERROR(program.Execute(state, params));
+  evaluations_.fetch_add(1, std::memory_order_relaxed);
+  return (use_cone() ? *cone_prepared_ : prepared_).Expectation(state);
+}
+
+Result<DVector> ExpectationFunction::MeasureBatch(
+    const std::vector<std::shared_ptr<const CompiledCircuit>>& programs,
+    const std::vector<DVector>& params_list) const {
+  if (programs.empty() || params_list.empty()) return DVector();
+  const size_t count = std::max(programs.size(), params_list.size());
+  // Fault point "sim.run": chaos runs fail or delay these batches like any
+  // simulator batch.
   QDB_FAULT_POINT("sim.run");
+  QDB_TRACE_SCOPE("ExpectationFunction::MeasureBatch", "sim");
   DVector values(count, 0.0);
   std::vector<Status> statuses(count);
   ThreadPool::Global().RunTasks(count, [&](size_t i) {
-    Result<double> value = evaluate(i);
+    Result<double> value =
+        Measure(*programs[programs.size() == 1 ? 0 : i],
+                params_list[params_list.size() == 1 ? 0 : i]);
     if (value.ok()) values[i] = value.value();
     statuses[i] = value.status();
   });
@@ -56,25 +82,8 @@ Result<DVector> ExpectationFunction::FanOut(
   return values;
 }
 
-Result<double> ExpectationFunction::RunAndMeasure(const Circuit& circuit,
-                                                  const DVector& params) const {
-  if (use_cone()) {
-    const std::shared_ptr<const CompiledCircuit> program =
-        CompilationCache::Global().GetOrCompile(circuit, cone_options_);
-    StateVector state(program->num_qubits());
-    QDB_RETURN_IF_ERROR(program->Execute(state, params));
-    evaluations_.fetch_add(1, std::memory_order_relaxed);
-    return cone_prepared_->Expectation(state);
-  }
-  StateVector state =
-      initial_state_ ? *initial_state_ : StateVector(circuit.num_qubits());
-  QDB_RETURN_IF_ERROR(simulator_.RunInPlace(circuit, state, params));
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
-  return prepared_.Expectation(state);
-}
-
 Result<double> ExpectationFunction::Evaluate(const DVector& params) const {
-  return RunAndMeasure(circuit_, params);
+  return Measure(*Program(circuit_), params);
 }
 
 Result<Circuit> ExpectationFunction::ShiftedCircuit(size_t gate_index,
@@ -102,54 +111,26 @@ Result<double> ExpectationFunction::EvaluateWithShift(const DVector& params,
                                                       size_t slot,
                                                       double delta) const {
   QDB_ASSIGN_OR_RETURN(Circuit rebuilt, ShiftedCircuit(gate_index, slot, delta));
-  return RunAndMeasure(rebuilt, params);
+  return Measure(*Program(rebuilt), params);
 }
 
 Result<DVector> ExpectationFunction::EvaluateShiftBatch(
     const DVector& params, const std::vector<ShiftSpec>& shifts) const {
-  std::vector<Circuit> circuits;
-  circuits.reserve(shifts.size());
+  // Every variant is compiled before the fan-out, so workers never queue
+  // behind a compile holding the cache lock.
+  std::vector<std::shared_ptr<const CompiledCircuit>> programs;
+  programs.reserve(shifts.size());
   for (const ShiftSpec& spec : shifts) {
     QDB_ASSIGN_OR_RETURN(
         Circuit c, ShiftedCircuit(spec.gate_index, spec.slot, spec.delta));
-    circuits.push_back(std::move(c));
+    programs.push_back(Program(c));
   }
-  if (use_cone()) {
-    return FanOut(circuits.size(), [&](size_t i) {
-      return RunAndMeasure(circuits[i], params);
-    });
-  }
-  DVector values(shifts.size(), 0.0);
-  const StateVector* initial = initial_state_ ? &*initial_state_ : nullptr;
-  QDB_RETURN_IF_ERROR(simulator_.RunBatchReduce(
-      circuits, {params}, initial,
-      [this, &values](size_t i, StateVector&& state) {
-        values[i] = prepared_.Expectation(state);
-        return Status::OK();
-      }));
-  evaluations_.fetch_add(static_cast<long>(shifts.size()),
-                         std::memory_order_relaxed);
-  return values;
+  return MeasureBatch(programs, {params});
 }
 
 Result<DVector> ExpectationFunction::EvaluateBatch(
     const std::vector<DVector>& params_list) const {
-  if (use_cone()) {
-    return FanOut(params_list.size(), [&](size_t i) {
-      return RunAndMeasure(circuit_, params_list[i]);
-    });
-  }
-  DVector values(params_list.size(), 0.0);
-  const StateVector* initial = initial_state_ ? &*initial_state_ : nullptr;
-  QDB_RETURN_IF_ERROR(simulator_.RunBatchReduce(
-      {circuit_}, params_list, initial,
-      [this, &values](size_t i, StateVector&& state) {
-        values[i] = prepared_.Expectation(state);
-        return Status::OK();
-      }));
-  evaluations_.fetch_add(static_cast<long>(params_list.size()),
-                         std::memory_order_relaxed);
-  return values;
+  return MeasureBatch({Program(circuit_)}, params_list);
 }
 
 }  // namespace qdb

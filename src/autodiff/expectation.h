@@ -6,7 +6,7 @@
 #define QDB_AUTODIFF_EXPECTATION_H_
 
 #include <atomic>
-#include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -44,7 +44,6 @@ class ExpectationFunction {
         cone_options_(std::move(other.cone_options_)),
         cone_prepared_(std::move(other.cone_prepared_)),
         initial_state_(std::move(other.initial_state_)),
-        simulator_(std::move(other.simulator_)),
         evaluations_(other.evaluations_.load(std::memory_order_relaxed)) {}
   ExpectationFunction& operator=(ExpectationFunction&& other) noexcept {
     circuit_ = std::move(other.circuit_);
@@ -53,7 +52,6 @@ class ExpectationFunction {
     cone_options_ = std::move(other.cone_options_);
     cone_prepared_ = std::move(other.cone_prepared_);
     initial_state_ = std::move(other.initial_state_);
-    simulator_ = std::move(other.simulator_);
     evaluations_.store(other.evaluations_.load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
     return *this;
@@ -85,7 +83,7 @@ class ExpectationFunction {
   };
 
   /// Evaluates every shifted circuit variant (all sharing `params`) as one
-  /// StateVectorSimulator::RunBatch fan-out; entry i answers shifts[i].
+  /// parallel fan-out; entry i answers shifts[i].
   Result<DVector> EvaluateShiftBatch(const DVector& params,
                                      const std::vector<ShiftSpec>& shifts) const;
 
@@ -103,19 +101,24 @@ class ExpectationFunction {
   }
 
  private:
-  /// Runs `circuit` (circuit_ or a shifted variant) and measures: on the
-  /// observable's light cone when use_cone(), full width otherwise.
-  Result<double> RunAndMeasure(const Circuit& circuit,
-                               const DVector& params) const;
-
   /// True when runs compile to the observable's light cone: the support is
   /// not the whole register and runs start from |0...0⟩.
   bool use_cone() const { return cone_prepared_ && !initial_state_; }
 
-  /// Entries [0, count) across the shared ThreadPool, entry i from
-  /// `evaluate(i)`. Fails with the first (lowest-index) error.
-  Result<DVector> FanOut(
-      size_t count, const std::function<Result<double>(size_t)>& evaluate) const;
+  /// `circuit` (circuit_ or a shifted variant) compiled through the global
+  /// cache: to the observable's light cone when use_cone(), whole otherwise.
+  std::shared_ptr<const CompiledCircuit> Program(const Circuit& circuit) const;
+
+  /// Runs `program` from the start state and measures the observable on it.
+  Result<double> Measure(const CompiledCircuit& program,
+                         const DVector& params) const;
+
+  /// Entry i measures programs[i] on params_list[i] across the shared
+  /// ThreadPool; a one-entry list is shared by every entry. Fails with the
+  /// first (lowest-index) error.
+  Result<DVector> MeasureBatch(
+      const std::vector<std::shared_ptr<const CompiledCircuit>>& programs,
+      const std::vector<DVector>& params_list) const;
 
   /// The circuit with one angle offset shifted; Circuit exposes no mutable
   /// gate access by design, so the variant is reconstructed gate by gate.
@@ -132,7 +135,6 @@ class ExpectationFunction {
   /// support is the whole register (or empty).
   std::optional<PreparedObservable> cone_prepared_;
   std::optional<StateVector> initial_state_;
-  StateVectorSimulator simulator_;
   mutable std::atomic<long> evaluations_{0};
 };
 

@@ -1,6 +1,5 @@
 #include "obs/trace.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -142,9 +141,7 @@ TraceSpan::~TraceSpan() {
   TraceLog::Global().Record(event);
 }
 
-// The default ring (65 536 events) is allocated by the first Record, so a
-// process that never traces never holds one.
-TraceLog::TraceLog() = default;
+TraceLog::TraceLog() : capacity_(1 << 16) { ring_.resize(capacity_); }
 
 TraceLog& TraceLog::Global() {
   static TraceLog* log = new TraceLog();
@@ -152,106 +149,51 @@ TraceLog& TraceLog::Global() {
 }
 
 void TraceLog::Record(const TraceEvent& event) {
-  Ring* installed = ring_.load(std::memory_order_acquire);
-  if (installed == nullptr) {
-    std::lock_guard<std::mutex> lock(mu_);
-    installed = ring_.load(std::memory_order_acquire);
-    if (installed == nullptr) {
-      rings_.push_back(std::make_unique<Ring>(size_t{1} << 16));
-      installed = rings_.back().get();
-      ring_.store(installed, std::memory_order_release);
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  ring_[next_] = event;
+  next_ = (next_ + 1) % capacity_;
+  if (count_ < capacity_) {
+    ++count_;
+  } else {
+    ++dropped_;
   }
-  Ring& ring = *installed;
-  const uint64_t ticket = ring.next.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = ring.slots[ticket % ring.capacity];
-  constexpr auto kRelaxed = std::memory_order_relaxed;
-  slot.seq.store(2 * ticket + 1, kRelaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.name.store(event.name, kRelaxed);
-  slot.category.store(event.category, kRelaxed);
-  slot.thread_id.store(event.thread_id, kRelaxed);
-  slot.start_us.store(event.start_us, kRelaxed);
-  slot.duration_us.store(event.duration_us, kRelaxed);
-  slot.trace_id.store(event.trace_id, kRelaxed);
-  slot.span_id.store(event.span_id, kRelaxed);
-  slot.parent_span_id.store(event.parent_span_id, kRelaxed);
-  slot.link_trace_id.store(event.link_trace_id, kRelaxed);
-  slot.seq.store(2 * ticket + 2, std::memory_order_release);
-}
-
-void TraceLog::Window(const Ring& ring, uint64_t* first, uint64_t* next) {
-  *next = ring.next.load(std::memory_order_acquire);
-  *first = std::min(ring.first.load(std::memory_order_acquire), *next);
-  if (*next - *first > ring.capacity) *first = *next - ring.capacity;
 }
 
 std::vector<TraceEvent> TraceLog::Snapshot() const {
-  const Ring* installed = ring_.load(std::memory_order_acquire);
-  if (installed == nullptr) return {};
-  const Ring& ring = *installed;
-  uint64_t first = 0, next = 0;
-  Window(ring, &first, &next);
-  constexpr auto kRelaxed = std::memory_order_relaxed;
+  std::lock_guard<std::mutex> lock(mu_);
   std::vector<TraceEvent> out;
-  out.reserve(next - first);
-  for (uint64_t ticket = first; ticket < next; ++ticket) {
-    const Slot& slot = ring.slots[ticket % ring.capacity];
-    if (slot.seq.load(std::memory_order_acquire) != 2 * ticket + 2) continue;
-    TraceEvent e;
-    e.name = slot.name.load(kRelaxed);
-    e.category = slot.category.load(kRelaxed);
-    e.thread_id = slot.thread_id.load(kRelaxed);
-    e.start_us = slot.start_us.load(kRelaxed);
-    e.duration_us = slot.duration_us.load(kRelaxed);
-    e.trace_id = slot.trace_id.load(kRelaxed);
-    e.span_id = slot.span_id.load(kRelaxed);
-    e.parent_span_id = slot.parent_span_id.load(kRelaxed);
-    e.link_trace_id = slot.link_trace_id.load(kRelaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    // A writer that reclaimed the slot meanwhile tore the read: drop it.
-    if (slot.seq.load(kRelaxed) == 2 * ticket + 2) out.push_back(e);
+  out.reserve(count_);
+  const size_t first = (next_ + capacity_ - count_) % capacity_;
+  for (size_t i = 0; i < count_; ++i) {
+    out.push_back(ring_[(first + i) % capacity_]);
   }
   return out;
 }
 
 size_t TraceLog::size() const {
-  const Ring* ring = ring_.load(std::memory_order_acquire);
-  if (ring == nullptr) return 0;
-  uint64_t first = 0, next = 0;
-  Window(*ring, &first, &next);
-  return static_cast<size_t>(next - first);
+  std::lock_guard<std::mutex> lock(mu_);
+  return count_;
 }
 
 size_t TraceLog::dropped() const {
-  const Ring* installed = ring_.load(std::memory_order_acquire);
-  if (installed == nullptr) return 0;
-  const Ring& ring = *installed;
-  uint64_t first = 0, next = 0;
-  Window(ring, &first, &next);
-  const uint64_t cleared = ring.first.load(std::memory_order_acquire);
-  return static_cast<size_t>(first - std::min(cleared, first));
+  std::lock_guard<std::mutex> lock(mu_);
+  return dropped_;
 }
 
 void TraceLog::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  Ring* ring = ring_.load(std::memory_order_acquire);
-  if (ring == nullptr) return;
-  ring->first.store(ring->next.load(std::memory_order_acquire),
-                    std::memory_order_release);
+  next_ = 0;
+  count_ = 0;
+  dropped_ = 0;
 }
 
 void TraceLog::SetCapacity(size_t capacity) {
   std::lock_guard<std::mutex> lock(mu_);
-  capacity = capacity > 0 ? capacity : 1;
-  Ring* ring = ring_.load(std::memory_order_acquire);
-  if (ring != nullptr && ring->capacity == capacity) {
-    ring->first.store(ring->next.load(std::memory_order_acquire),
-                      std::memory_order_release);
-    return;
-  }
-  rings_.push_back(std::make_unique<Ring>(capacity));
-  ring_.store(rings_.back().get(), std::memory_order_release);
+  capacity_ = capacity > 0 ? capacity : 1;
+  ring_.assign(capacity_, TraceEvent{});
+  next_ = 0;
+  count_ = 0;
+  dropped_ = 0;
 }
 
 std::string TraceLog::ChromeTraceJson() const {

@@ -26,7 +26,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -97,15 +96,10 @@ class ContextGuard {
   RequestContext previous_;
 };
 
-/// \brief Ring buffer of completed spans (process singleton).
+/// \brief Lock-guarded ring buffer of completed spans (process singleton).
 ///
 /// When the buffer is full the oldest events are overwritten; dropped()
-/// reports how many were lost so exporters can flag truncation. Record
-/// takes no lock: a writer claims a ticket with one atomic increment and
-/// fills its slot, so threads recording at once never wait on each other.
-/// Snapshot keeps only slots whose write completed (a per-slot sequence
-/// number, read before and after the fields, tells it). The first Record
-/// allocates the default ring, so a process that never traces holds none.
+/// reports how many were lost so exporters can flag truncation.
 class TraceLog {
  public:
   static TraceLog& Global();
@@ -131,38 +125,14 @@ class TraceLog {
   std::string ChromeTraceJson() const;
 
  private:
-  /// One event's fields as relaxed atomics, so Snapshot may read a slot a
-  /// writer is filling; `seq` is 2·ticket + 1 while ticket's event is
-  /// written and 2·ticket + 2 once it is complete.
-  struct Slot {
-    std::atomic<uint64_t> seq{0};
-    std::atomic<const char*> name{nullptr};
-    std::atomic<const char*> category{nullptr};
-    std::atomic<uint64_t> thread_id{0};
-    std::atomic<int64_t> start_us{0};
-    std::atomic<int64_t> duration_us{0};
-    std::atomic<uint64_t> trace_id{0};
-    std::atomic<uint64_t> span_id{0};
-    std::atomic<uint64_t> parent_span_id{0};
-    std::atomic<uint64_t> link_trace_id{0};
-  };
-  struct Ring {
-    explicit Ring(size_t n) : capacity(n), slots(new Slot[n]) {}
-    const size_t capacity;
-    const std::unique_ptr<Slot[]> slots;
-    std::atomic<uint64_t> next{0};   ///< Tickets handed out.
-    std::atomic<uint64_t> first{0};  ///< Tickets below this were cleared.
-  };
-
   TraceLog();
-  /// Buffered tickets [first, next) of `ring`.
-  static void Window(const Ring& ring, uint64_t* first, uint64_t* next);
 
-  std::mutex mu_;  ///< Serializes Clear and SetCapacity.
-  std::atomic<Ring*> ring_{nullptr};
-  /// Every ring ever installed, owned here: a writer may still be filling a
-  /// ring SetCapacity replaced, so none is freed.
-  std::vector<std::unique_ptr<Ring>> rings_;
+  mutable std::mutex mu_;
+  std::vector<TraceEvent> ring_;
+  size_t capacity_;
+  size_t next_ = 0;     ///< Ring write cursor.
+  size_t count_ = 0;    ///< Buffered events (<= capacity_).
+  size_t dropped_ = 0;  ///< Overwritten events.
 };
 
 /// Microseconds since the process trace epoch (first use of the clock).

@@ -350,8 +350,12 @@ Status ServableModel::RunCompiled(const std::vector<DVector>& inputs,
   // One compiled program, B feature bindings: each task replays the fused
   // kernel sequence with the request's features as the parameter vector,
   // on the light cone's qubits; source qubit 0 is program qubit 0. A batch
-  // fans out only when its states reach the pool's parallel threshold: a
-  // few-qubit replay takes ~2 µs, less than a fork-join.
+  // fans out only when its work — inputs × ops × 2^k amplitude updates —
+  // reaches the threshold at which one kernel op would go parallel. A
+  // narrow cone's batch stays under it (the linear 2-layer VQC's 3-qubit,
+  // 6-op program does 48 updates per input, a ~1 µs replay, less than a
+  // fork-join); a whole-register cone (a circular 12-qubit VQC: 36 ops on
+  // 2^12 amplitudes) fans out from two inputs on.
   std::vector<Status> statuses(inputs.size());
   const auto run = [&](size_t i) {
     StateVector state(program_->num_qubits());
@@ -359,7 +363,9 @@ Status ServableModel::RunCompiled(const std::vector<DVector>& inputs,
     if (!statuses[i].ok()) return;
     out[i].value = ExpectationZ(state, 0);
   };
-  if ((inputs.size() << program_->num_qubits()) < kParallelAmplitudeThreshold) {
+  const uint64_t work = (inputs.size() * program_->num_ops())
+                        << program_->num_qubits();
+  if (work < kParallelAmplitudeThreshold) {
     for (size_t i = 0; i < inputs.size(); ++i) run(i);
   } else {
     ThreadPool::Global().RunTasks(inputs.size(), run);

@@ -1108,8 +1108,10 @@ Status CompiledCircuit::ExecuteWithTileBits(StateVector& state,
                tile_bits));
   }
   // Replays that reach the parallel threshold get a span; below it a replay
-  // takes microseconds, and a span (two clock reads and a ring write) would
-  // cost a tenth of a few-qubit one.
+  // takes microseconds, and a span (two clock reads and a ring write,
+  // ~110 ns) would cost a tenth of a few-qubit one. Smaller replays are
+  // still counted (compile.replays); served batches and gradient batches
+  // time them under their own spans.
   std::optional<obs::TraceSpan> span;
   if (state.dim() >= kParallelAmplitudeThreshold) {
     span.emplace("CompiledCircuit::Execute", "sim");

@@ -90,6 +90,24 @@ TEST(ExpectationFunctionTest, LightConeMatchesFullWidth) {
   EXPECT_EQ(cone.evaluation_count(), full.evaluation_count());
 }
 
+TEST(ExpectationFunctionTest, EmptyBatchesReturnNoValues) {
+  // Both the light-cone path and the full-width path (an initial state is
+  // set) answer an empty batch with no values and no evaluations.
+  const Circuit c = RealAmplitudesAnsatz(3, 1, Entanglement::kLinear);
+  ExpectationFunction cone(c, ZObservable(3));
+  ExpectationFunction full(c, ZObservable(3));
+  full.set_initial_state(StateVector(3));
+  for (const ExpectationFunction* f : {&cone, &full}) {
+    auto batch = f->EvaluateBatch({});
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    EXPECT_TRUE(batch.value().empty());
+    auto shifts = f->EvaluateShiftBatch(DVector(c.num_parameters(), 0.1), {});
+    ASSERT_TRUE(shifts.ok()) << shifts.status();
+    EXPECT_TRUE(shifts.value().empty());
+    EXPECT_EQ(f->evaluation_count(), 0);
+  }
+}
+
 TEST(ParameterShiftTest, GateOutsideLightConeHasExactlyZeroGradient) {
   // ⟨Z_0⟩ = cos θ0: CX(0,1) leaves qubit 0's populations alone, and
   // RY(θ1) on qubit 1 and RY(θ2) on qubit 2 come after the last gate that
