@@ -242,6 +242,40 @@ TEST(ServableTest, VqcServesQubitZerosLightCone) {
   }
 }
 
+TEST(ServableTest, CircularVqcConeIsTheWholeRegister) {
+  // CX(11, 0) closes the ring, so qubit 0's cone is every qubit: the
+  // program keeps all 12 qubits and drops only the final RY layer on
+  // qubits 1–11, which follows every gate that reaches qubit 0. A batch
+  // of four does enough work to fan out across the pool.
+  ModelArtifact a = TinyVqcArtifact("ring");
+  a.num_features = 12;
+  a.ansatz_layers = 2;
+  a.entanglement = Entanglement::kCircular;
+  a.params.clear();
+  for (int i = 0; i < RealAmplitudesParamCount(12, 2); ++i) {
+    a.params.push_back(0.3 + 0.17 * static_cast<double>(i));
+  }
+  auto servable = ServableModel::Create(a);
+  ASSERT_TRUE(servable.ok()) << servable.status();
+  const CompiledCircuit* program = servable.value()->program();
+  ASSERT_NE(program, nullptr);
+  EXPECT_EQ(program->num_qubits(), 12);
+  EXPECT_EQ(program->stats().pruned_gates, 11u);
+
+  Rng rng(6);
+  std::vector<DVector> inputs;
+  for (int i = 0; i < 4; ++i) inputs.push_back(rng.UniformVector(12, 0.0, M_PI));
+  auto out = servable.value()->RunBatch(RequestKind::kPredict, inputs);
+  ASSERT_TRUE(out.ok()) << out.status();
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    auto bound = BuildBoundInferenceCircuit(a, inputs[i]);
+    ASSERT_TRUE(bound.ok()) << bound.status();
+    StateVector state(12);
+    ASSERT_TRUE(StateVectorSimulator().RunStreamed(bound.value(), state).ok());
+    EXPECT_NEAR(out.value()[i].value, ExpectationZ(state, 0), 1e-12) << i;
+  }
+}
+
 TEST(ServableTest, ZzEncodingHasNoSymbolicCircuit) {
   ModelArtifact a = TinyVqcArtifact("zz", VqcEncoding::kZZFeatureMap);
   auto symbolic = BuildSymbolicInferenceCircuit(a);
