@@ -1,5 +1,5 @@
-// E21 — Model storage tier: binary vs text artifact load latency, and
-// budgeted serving under memory pressure.
+// E21 — Model storage tier: artifact load latency, and budgeted serving
+// under memory pressure.
 // E22 — Warm restart: crash-recovery cost as a function of fleet size.
 // BM_WarmRestart journals a fleet of K file-backed models (K = 8/64/256),
 // then measures restart-to-first-inference: open the journaled registry
@@ -7,21 +7,18 @@
 // model, and run one prediction through it. The recovery_us counter
 // isolates the replay+rebuild share of that wall time.
 //
-// Two questions. (1) What does the binary artifact format buy on the
-// cold-start path? A 12-qubit kernel-SVM artifact with 128 support vectors
-// is ~1.5k doubles; the text reader re-parses every one through strtod
-// while the binary reader is a read + two checksum passes + memcpys into
-// place. Headline result: binary load is >= 10x faster than text on the
-// same artifact (speedup_vs_text counter on BM_ArtifactLoad/binary).
-// (2) What happens when the registry's byte budget shrinks below the
-// working set? BM_BudgetedServing holds 1000 file-backed model versions
-// (40 names x 25 versions) and sweeps the budget from 100% of the working
-// set down to 5%, driving lookups across all names. Every request must
-// succeed at every budget point (failed_requests == 0 is asserted) — the
-// tier pages models out and reloads them on demand — while the counters
-// show the cost curve: evictions and reloads climb as the budget drops,
-// resident_bytes stays bounded by the budget, and cold_start p99 (from the
-// store.cold_start_us histogram) prices the misses.
+// Two questions. (1) What does a load cost on the cold-start path?
+// BM_ArtifactLoad reads a 12-qubit kernel-SVM artifact with 128 support
+// vectors (~1.5k doubles): one file read, two checksum passes and memcpys
+// into place. (2) What happens when the registry's byte budget shrinks
+// below the working set? BM_BudgetedServing holds 1000 file-backed model
+// versions (40 names x 25 versions) and sweeps the budget from 100% of the
+// working set down to 5%, driving lookups across all names. Every request
+// must succeed at every budget point (failed_requests == 0 is asserted) —
+// the tier pages models out and reloads them on demand — while the
+// counters show the cost curve: evictions and reloads climb as the budget
+// drops, resident_bytes stays bounded by the budget, and cold_start p99
+// (from the store.cold_start_us histogram) prices the misses.
 
 #include <benchmark/benchmark.h>
 
@@ -84,29 +81,21 @@ serve::ModelArtifact FleetArtifact(const std::string& name, int version) {
   return a;
 }
 
-enum LoadFormat { kText = 0, kBinary = 1 };
-
 void BM_ArtifactLoad(benchmark::State& state) {
-  const LoadFormat format = static_cast<LoadFormat>(state.range(0));
   const serve::ModelArtifact artifact = LoadLatencyArtifact();
-  const std::string path =
-      StrCat("/tmp/qdb_bench_store_load_", format == kText ? "text" : "bin",
-             ".model");
-  const ArtifactFormat disk_format =
-      format == kText ? ArtifactFormat::kText : ArtifactFormat::kBinary;
-  if (!SaveArtifact(artifact, path, disk_format).ok()) {
+  const std::string path = "/tmp/qdb_bench_store_load_bin.model";
+  if (!SaveArtifact(artifact, path).ok()) {
     state.SkipWithError("failed to write artifact");
     return;
   }
   for (auto _ : state) {
-    auto loaded = serve::ModelArtifact::LoadFromFile(path);
+    auto loaded = LoadArtifact(path);
     if (!loaded.ok()) {
       state.SkipWithError("load failed");
       return;
     }
     benchmark::DoNotOptimize(loaded.value().support_vectors.data());
   }
-  state.SetLabel(format == kText ? "text" : "binary");
   state.counters["doubles_in_artifact"] = static_cast<double>(
       kSupportVectors * (kQubits + 1));
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -116,10 +105,7 @@ void BM_ArtifactLoad(benchmark::State& state) {
     std::fclose(f);
   }
 }
-BENCHMARK(BM_ArtifactLoad)
-    ->Arg(kText)
-    ->Arg(kBinary)
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ArtifactLoad)->Unit(benchmark::kMicrosecond);
 
 // Budget sweep: Arg is the budget as a percentage of the fleet's working
 // set (100 = everything fits, 5 = almost nothing does).
@@ -135,9 +121,8 @@ void BM_BudgetedServing(benchmark::State& state) {
       for (int v = 1; v <= kVersionsPerName; ++v) {
         const std::string path =
             StrCat("/tmp/qdb_bench_store_fleet_", n, "_", v, ".model");
-        const Status saved = SaveArtifact(
-            FleetArtifact(StrCat("fleet-", n), v), path,
-            ArtifactFormat::kBinary);
+        const Status saved =
+            SaveArtifact(FleetArtifact(StrCat("fleet-", n), v), path);
         if (!saved.ok()) continue;
         paths->push_back(path);
       }

@@ -86,6 +86,7 @@
 #include "serve/inference_server.h"
 #include "serve/model_registry.h"
 #include "store/async_loader.h"
+#include "store/binary_format.h"
 #include "variational/ansatz.h"
 #include "variational/vqc.h"
 
@@ -491,7 +492,7 @@ int main(int argc, char** argv) {
   serve::ModelArtifact vqc_artifact =
       serve::MakeVqcArtifact(vqc.value(), "moons-vqc");
   const std::string artifact_path = "/tmp/qdb_moons_vqc.model";
-  if (auto s = vqc_artifact.SaveToFile(artifact_path); !s.ok()) {
+  if (auto s = store::SaveArtifact(vqc_artifact, artifact_path); !s.ok()) {
     std::printf("save failed: %s\n", s.ToString().c_str());
     return 1;
   }

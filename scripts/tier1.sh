@@ -4,8 +4,8 @@
 # storage, Walsh-sweep, SIMD, pool, kernel, serving, per-gate lowering and
 # adjoint suites under UndefinedBehaviorSanitizer, run the whole suite
 # under AddressSanitizer, replay the seeded chaos profiles, run the kill-9
-# crash-recovery matrix, and gate the serving tier's observability
-# overhead. Run from the repo root:
+# crash-recovery matrix, gate the serving tier's observability overhead,
+# and print the tracked src/ line count. Run from the repo root:
 #
 #   ./scripts/tier1.sh
 #
@@ -175,6 +175,13 @@ if overhead > 0.10:
              f"{overhead:.1%} throughput (budget: 10%)")
 print("overhead gate PASS (budget: 10%)")
 PYEOF
+
+echo
+echo "== tier 1: tracked src/ line count =="
+# The round tracks src/'s size like a benchmark; every run prints it the
+# same way so each change quotes one comparable number.
+echo "src/ .cc+.h lines: $(find src -name '*.cc' -o -name '*.h' | sort |
+  xargs cat | wc -l)"
 
 echo
 echo "tier 1 PASS"

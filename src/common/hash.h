@@ -1,7 +1,7 @@
 /// \file hash.h
-/// \brief The 64-bit FNV-1a hash behind qdb's stored checksums (text and
-/// binary model artifacts, the registry journal) and its deterministic
-/// routing (inference-server shards, registry slices).
+/// \brief The 64-bit FNV-1a hash behind qdb's stored checksums (model
+/// artifacts, the registry journal) and its deterministic routing
+/// (inference-server shards, registry slices).
 
 #ifndef QDB_COMMON_HASH_H_
 #define QDB_COMMON_HASH_H_

@@ -1,19 +1,15 @@
 /// \file model_artifact.h
-/// \brief Trained-model artifacts for the serving layer: a self-contained,
-/// serializable description of everything needed to rebuild a model's
-/// inference path — VQC/VQR parameters plus their ansatz fingerprint,
-/// fidelity-kernel SVMs with their support vectors, and QUBO solver
-/// configurations.
+/// \brief Trained-model artifacts for the serving layer: a self-contained
+/// description of everything needed to rebuild a model's inference path —
+/// VQC/VQR parameters plus their ansatz fingerprint, fidelity-kernel SVMs
+/// with their support vectors, and QUBO solver configurations.
 ///
-/// Artifacts are plain data. Turning one into an executable model happens
-/// in servable.h; registering, versioning, and persisting them happens in
-/// model_registry.h. Two on-disk formats share one failure contract —
-/// corrupted files fail kInvalidArgument and files written by a future
-/// incompatible format fail kUnimplemented, never a silently wrong model:
-/// the line-oriented text format here (format-version header, %.17g
-/// doubles, trailing FNV-1a checksum) and the sectioned binary format in
-/// store/binary_format.h. LoadFromFile sniffs the magic and reads either;
-/// SaveToFile writes text, store::SaveArtifact picks the format.
+/// Artifacts are plain data with no I/O. Turning one into an executable
+/// model happens in servable.h; registering and versioning them happens in
+/// model_registry.h; every byte on disk belongs to store/binary_format.h,
+/// whose one format keeps this failure contract: a damaged file fails
+/// kInvalidArgument and a valid file in a format this build does not read
+/// fails kUnimplemented, never a silently wrong model.
 
 #ifndef QDB_SERVE_MODEL_ARTIFACT_H_
 #define QDB_SERVE_MODEL_ARTIFACT_H_
@@ -24,7 +20,6 @@
 #include <vector>
 
 #include "classical/svm.h"
-#include "common/result.h"
 #include "linalg/types.h"
 #include "variational/ansatz.h"
 #include "variational/vqc.h"
@@ -56,10 +51,10 @@ struct SupportVector {
   DVector features;
 };
 
-/// \brief A versioned, serializable trained-model artifact.
+/// \brief A versioned trained-model artifact.
 ///
 /// Only the fields relevant to `type` are meaningful; the rest keep their
-/// defaults and are neither serialized nor compared.
+/// defaults.
 struct ModelArtifact {
   ModelType type = ModelType::kVqcClassifier;
   std::string name;
@@ -89,16 +84,6 @@ struct ModelArtifact {
   // --- QUBO solver config (kQuboConfig) -------------------------------------
   /// Free-form ordered key-value pairs (solver name, sweeps, seeds, …).
   std::vector<std::pair<std::string, std::string>> config;
-
-  /// Serializes to the on-disk text format (format version 1).
-  std::string Serialize() const;
-  /// Parses the text format; corrupted input (bad magic, unknown keys,
-  /// truncation, checksum mismatch) and unsupported format versions return
-  /// a non-OK Status.
-  static Result<ModelArtifact> Deserialize(const std::string& text);
-
-  Status SaveToFile(const std::string& path) const;
-  static Result<ModelArtifact> LoadFromFile(const std::string& path);
 };
 
 /// Builds a serving artifact from a trained classifier. The artifact's

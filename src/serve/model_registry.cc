@@ -7,6 +7,7 @@
 #include "common/strings.h"
 #include "fault/fault_injector.h"
 #include "obs/obs.h"
+#include "store/binary_format.h"
 
 namespace qdb {
 namespace serve {
@@ -552,8 +553,7 @@ Status ModelRegistry::SaveModel(const std::string& name, int version,
                                 const std::string& path) const {
   QDB_ASSIGN_OR_RETURN(std::shared_ptr<const ServableModel> servable,
                        Lookup(name, version));
-  QDB_RETURN_IF_ERROR(
-      store::SaveArtifact(servable->artifact(), path, options_.save_format));
+  QDB_RETURN_IF_ERROR(store::SaveArtifact(servable->artifact(), path));
   // The file was written from the registered artifact, so the file identity
   // IS the registered identity.
   QDB_RETURN_IF_ERROR(MarkFileBacked(name, servable->version(), path,

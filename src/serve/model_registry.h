@@ -46,7 +46,6 @@
 #include "common/retry.h"
 #include "serve/model_artifact.h"
 #include "serve/servable.h"
-#include "store/binary_format.h"
 #include "store/memory_budget.h"
 #include "store/registry_journal.h"
 
@@ -76,9 +75,6 @@ struct RegistryOptions {
   /// Total resident-bytes budget across all slices; 0 = unlimited. Each
   /// slice enforces budget/num_slices independently.
   size_t store_budget_bytes = 0;
-  /// Format SaveModel writes. Binary is the storage-tier default; readers
-  /// accept both.
-  store::ArtifactFormat save_format = store::ArtifactFormat::kBinary;
   /// Crash-recovery journal directory (store/registry_journal.h). Empty =
   /// no journal: registry state dies with the process. Non-empty: durable
   /// mutations are journaled write-ahead and construction warm-restarts
@@ -163,19 +159,18 @@ class ModelRegistry {
   /// Number of registered (name, version) pairs.
   size_t size() const;
 
-  /// Serializes one registered model's artifact to `path` in
-  /// options().save_format (crash-safe). On success the version becomes
-  /// file-backed: it is now evictable under the budget and reloadable from
-  /// `path`.
+  /// Serializes one registered model's artifact to `path` (crash-safe). On
+  /// success the version becomes file-backed: it is now evictable under the
+  /// budget and reloadable from `path`.
   Status SaveModel(const std::string& name, int version,
                    const std::string& path) const;
 
-  /// Loads an artifact file (either format) and registers it. The file's
-  /// version is kept if free, otherwise registration fails with
-  /// kAlreadyExists; pass reassign_version to force "next version"
-  /// semantics instead. The read is retried under `retry` so a load racing
-  /// a crash-safe save (or an injected transient fault) settles on the
-  /// complete artifact. The registered version is file-backed (evictable).
+  /// Loads an artifact file and registers it. The file's version is kept
+  /// if free, otherwise registration fails with kAlreadyExists; pass
+  /// reassign_version to force "next version" semantics instead. The read
+  /// is retried under `retry` so a load racing a crash-safe save (or an
+  /// injected transient fault) settles on the complete artifact. The
+  /// registered version is file-backed (evictable).
   Result<std::shared_ptr<const ServableModel>> LoadModel(
       const std::string& path, bool reassign_version = false,
       const RetryPolicy& retry = DefaultArtifactLoadRetry());

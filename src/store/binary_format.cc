@@ -9,12 +9,12 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "common/hash.h"
 #include "common/strings.h"
 #include "fault/fault_injector.h"
-#include "obs/labels.h"
 #include "obs/obs.h"
 
 namespace qdb {
@@ -26,6 +26,8 @@ using serve::ModelArtifact;
 using serve::ModelType;
 
 constexpr char kMagic[8] = {'Q', 'D', 'B', 'S', 'T', 'O', 'R', '1'};
+// First bytes of every file in the removed line-oriented text format.
+constexpr std::string_view kRemovedTextMagic = "qdb-model-artifact";
 constexpr uint32_t kFormatVersion = 1;
 constexpr size_t kHeaderSize = 64;
 constexpr size_t kTableEntrySize = 32;
@@ -47,8 +49,8 @@ enum SectionType : uint32_t {
   kSectionQuboConfig = 5,
 };
 
-// Caps mirror the text reader's plausibility limits so a corrupted count
-// can never turn into a giant allocation.
+// Plausibility caps, so a corrupted count can never turn into a giant
+// allocation.
 constexpr uint64_t kMaxVectorCount = 1ull << 24;
 constexpr uint64_t kMaxConfigCount = 1ull << 20;
 constexpr uint64_t kMaxFeatures = 1ull << 20;
@@ -234,7 +236,11 @@ std::string BuildQuboConfigSection(const ModelArtifact& a) {
 Status ParseQuboConfigSection(const std::string& s, ModelArtifact& a) {
   uint64_t count = 0;
   if (!Get(s, 0, count)) return Corrupted("config section too small");
-  if (count > kMaxConfigCount) return Corrupted("implausible config count");
+  // Each entry takes at least 9 bytes (two lengths and a nonempty key), so
+  // a count the payload cannot hold fails before anything is reserved.
+  if (count > kMaxConfigCount || count > (s.size() - 8) / 9) {
+    return Corrupted("implausible config count");
+  }
   size_t cursor = 8;
   a.config.reserve(static_cast<size_t>(count));
   for (uint64_t i = 0; i < count; ++i) {
@@ -258,27 +264,11 @@ Status ParseQuboConfigSection(const std::string& s, ModelArtifact& a) {
   return Status::OK();
 }
 
-obs::LabeledFamily<obs::Counter>* LoadCounters() {
-  static obs::LabeledFamily<obs::Counter>* family =
-      obs::MetricsRegistry::Global().GetCounterFamily("store.artifact_loads",
-                                                      {"format"});
-  return family;
+bool HasPrefix(const std::string& bytes, std::string_view prefix) {
+  return bytes.compare(0, prefix.size(), prefix) == 0;
 }
 
 }  // namespace
-
-const char* ArtifactFormatName(ArtifactFormat format) {
-  switch (format) {
-    case ArtifactFormat::kText: return "text";
-    case ArtifactFormat::kBinary: return "binary";
-  }
-  return "text";
-}
-
-bool LooksBinary(const std::string& bytes) {
-  return bytes.size() >= sizeof(kMagic) &&
-         std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) == 0;
-}
 
 std::string SerializeBinary(const serve::ModelArtifact& artifact) {
   std::vector<Section> sections;
@@ -340,7 +330,12 @@ std::string SerializeBinary(const serve::ModelArtifact& artifact) {
 }
 
 Result<serve::ModelArtifact> DeserializeBinary(const std::string& bytes) {
-  if (!LooksBinary(bytes)) {
+  if (!HasPrefix(bytes, std::string_view(kMagic, sizeof(kMagic)))) {
+    if (HasPrefix(bytes, kRemovedTextMagic)) {
+      return Status::Unimplemented(
+          "text model artifact: the text format was removed; this build "
+          "reads only the binary format (QDBSTOR1)");
+    }
     return Status::InvalidArgument(
         "not a qdb binary artifact (bad magic header)");
   }
@@ -621,24 +616,16 @@ Result<std::string> ReadFileBytes(const std::string& path) {
 }
 
 Result<serve::ModelArtifact> LoadArtifact(const std::string& path) {
+  static obs::Counter* const loads = obs::GetCounter("store.artifact_loads");
   QDB_ASSIGN_OR_RETURN(std::string bytes, ReadFileBytes(path));
-  if (LooksBinary(bytes)) {
-    QDB_ASSIGN_OR_RETURN(ModelArtifact artifact, DeserializeBinary(bytes));
-    LoadCounters()->With("binary")->Increment();
-    return artifact;
-  }
-  QDB_ASSIGN_OR_RETURN(ModelArtifact artifact,
-                       ModelArtifact::Deserialize(bytes));
-  LoadCounters()->With("text")->Increment();
+  QDB_ASSIGN_OR_RETURN(ModelArtifact artifact, DeserializeBinary(bytes));
+  loads->Increment();
   return artifact;
 }
 
 Status SaveArtifact(const serve::ModelArtifact& artifact,
-                    const std::string& path, ArtifactFormat format) {
-  const std::string payload = format == ArtifactFormat::kBinary
-                                  ? SerializeBinary(artifact)
-                                  : artifact.Serialize();
-  return AtomicWriteFile(path, payload, artifact.name);
+                    const std::string& path) {
+  return AtomicWriteFile(path, SerializeBinary(artifact), artifact.name);
 }
 
 }  // namespace store

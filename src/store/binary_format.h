@@ -1,6 +1,6 @@
 /// \file binary_format.h
-/// \brief Versioned binary on-disk format for model artifacts, plus the
-/// shared crash-safe file I/O the storage tier runs on.
+/// \brief The on-disk format for model artifacts — the only one QDB reads
+/// or writes — plus the shared crash-safe file I/O the storage tier runs on.
 ///
 /// Layout (format version 1, little-endian, all offsets from byte 0):
 ///
@@ -20,6 +20,12 @@
 ///     [...]      section payloads, each offset aligned to 64 bytes and
 ///                individually FNV-1a checksummed
 ///
+/// Every checksum is 64-bit FNV-1a (common/hash.h) with prime
+/// 0x100000001b3 and a non-standard offset basis: 1469598103934665603
+/// (0x14650fb0739d0383), the published 14695981039346656037 with its last
+/// digit dropped. A tool verifying a checksum must use that basis; changing
+/// it needs a format_version bump.
+///
 /// Section types: meta (scalars + name — always present), params,
 /// circuit fingerprint, support vectors (stored SoA: all coefficients,
 /// then the feature matrix row-major — one memcpy each on load), and QUBO
@@ -31,8 +37,8 @@
 ///
 /// Corruption anywhere — header, table, or payload — fails with
 /// kInvalidArgument; a valid file never deserializes to a silently wrong
-/// model. The text format of model_artifact.h remains a read-compatible
-/// fallback: LoadArtifact sniffs the magic and routes to the right reader.
+/// model. Files in the removed line-oriented text format (first line
+/// "qdb-model-artifact format 1") fail with kUnimplemented.
 
 #ifndef QDB_STORE_BINARY_FORMAT_H_
 #define QDB_STORE_BINARY_FORMAT_H_
@@ -45,26 +51,15 @@
 namespace qdb {
 namespace store {
 
-/// On-disk encodings SaveArtifact can write. Readers accept both.
-enum class ArtifactFormat {
-  kText,    ///< Line-oriented format of model_artifact.h (version 1).
-  kBinary,  ///< Sectioned binary format of this header (version 1).
-};
-
-const char* ArtifactFormatName(ArtifactFormat format);
-
 /// Serializes to the binary format (version 1).
 std::string SerializeBinary(const serve::ModelArtifact& artifact);
 
 /// Parses the binary format. Corrupted input (bad magic, damaged header or
 /// table, failed section checksum, truncation, implausible counts) returns
 /// kInvalidArgument; a structurally valid file with an unsupported
-/// format_version returns kUnimplemented.
+/// format_version, and a file in the removed text format, return
+/// kUnimplemented.
 Result<serve::ModelArtifact> DeserializeBinary(const std::string& bytes);
-
-/// True when `bytes` begins with the binary magic (routing hint only — the
-/// reader still validates everything).
-bool LooksBinary(const std::string& bytes);
 
 /// Crash-safe whole-file write: payload goes to `<path>.tmp`, is fsync'd,
 /// then renamed into place (with a best-effort fsync of the parent
@@ -82,13 +77,13 @@ Status AtomicWriteFile(const std::string& path, const std::string& payload,
 /// files return kNotFound.
 Result<std::string> ReadFileBytes(const std::string& path);
 
-/// Loads an artifact from disk in either format, sniffing the magic.
-/// Increments the store.artifact_loads{format=...} counter on success.
+/// Loads an artifact file (ReadFileBytes + DeserializeBinary). Increments
+/// the store.artifact_loads counter on success.
 Result<serve::ModelArtifact> LoadArtifact(const std::string& path);
 
-/// Saves an artifact crash-safely in the requested format.
+/// Saves an artifact crash-safely (SerializeBinary + AtomicWriteFile).
 Status SaveArtifact(const serve::ModelArtifact& artifact,
-                    const std::string& path, ArtifactFormat format);
+                    const std::string& path);
 
 }  // namespace store
 }  // namespace qdb

@@ -28,6 +28,7 @@
 #include "serve/model_artifact.h"
 #include "serve/model_registry.h"
 #include "serve/servable.h"
+#include "store/binary_format.h"
 #include "variational/ansatz.h"
 
 namespace qdb {
@@ -513,26 +514,26 @@ TEST_F(FaultTest, TornSaveNeverYieldsHalfReadableArtifact) {
   FaultInjector::Global().Arm("artifact.save", spec);
 
   // Torn save to a fresh path: the destination must not exist at all.
-  Status torn = original.SaveToFile(fresh);
+  Status torn = store::SaveArtifact(original, fresh);
   ASSERT_FALSE(torn.ok());
   EXPECT_EQ(torn.code(), StatusCode::kInternal);
-  EXPECT_EQ(ModelArtifact::LoadFromFile(fresh).status().code(),
+  EXPECT_EQ(store::LoadArtifact(fresh).status().code(),
             StatusCode::kNotFound)
       << "a torn save must never materialize the destination";
   // The partial temp file exists but can never parse as an artifact.
   std::ifstream tmp_in(fresh + ".tmp", std::ios::binary);
   ASSERT_TRUE(tmp_in.good()) << "the simulated crash leaves the partial tmp";
-  EXPECT_FALSE(ModelArtifact::LoadFromFile(fresh + ".tmp").ok());
+  EXPECT_FALSE(store::LoadArtifact(fresh + ".tmp").ok());
 
   // Torn overwrite of an existing artifact: the old complete file survives.
   const std::string existing = TempPath("fault_torn_existing.qdbm");
   FaultInjector::Global().DisarmAll();
-  ASSERT_TRUE(original.SaveToFile(existing).ok());
+  ASSERT_TRUE(store::SaveArtifact(original, existing).ok());
   ModelArtifact changed = original;
   changed.params[0] = -1.25;
   FaultInjector::Global().Arm("artifact.save", spec);
-  ASSERT_FALSE(changed.SaveToFile(existing).ok());
-  Result<ModelArtifact> survivor = ModelArtifact::LoadFromFile(existing);
+  ASSERT_FALSE(store::SaveArtifact(changed, existing).ok());
+  Result<ModelArtifact> survivor = store::LoadArtifact(existing);
   ASSERT_TRUE(survivor.ok()) << survivor.status();
   EXPECT_EQ(survivor.value().params[0], original.params[0])
       << "the destination must still hold the previous complete artifact";
@@ -544,13 +545,13 @@ TEST_F(FaultTest, TornSaveScopeTargetsOneArtifact) {
   spec.target = "poisoned";
   FaultInjector::Global().Arm("artifact.save", spec);
   const std::string path = TempPath("fault_scoped_save.qdbm");
-  EXPECT_TRUE(TinyVqcArtifact("healthy").SaveToFile(path).ok());
-  EXPECT_FALSE(TinyVqcArtifact("poisoned").SaveToFile(path).ok());
+  EXPECT_TRUE(store::SaveArtifact(TinyVqcArtifact("healthy"), path).ok());
+  EXPECT_FALSE(store::SaveArtifact(TinyVqcArtifact("poisoned"), path).ok());
 }
 
 TEST_F(FaultTest, LoadModelRetriesTransientReadFaults) {
   const std::string path = TempPath("fault_load_retry.qdbm");
-  ASSERT_TRUE(TinyVqcArtifact("retry-load").SaveToFile(path).ok());
+  ASSERT_TRUE(store::SaveArtifact(TinyVqcArtifact("retry-load"), path).ok());
 
   FaultSpec spec;
   spec.kind = FaultKind::kError;
@@ -816,13 +817,13 @@ TEST_F(FaultTest, ChaosProfileFromEnvEveryRequestTerminates) {
     const ModelArtifact artifact = TinyVqcArtifact("chaos");
     int saves_ok = 0;
     for (int i = 0; i < 8; ++i) {
-      if (artifact.SaveToFile(path).ok()) {
+      if (store::SaveArtifact(artifact, path).ok()) {
         ++saves_ok;
-        Result<ModelArtifact> back = ModelArtifact::LoadFromFile(path);
+        Result<ModelArtifact> back = store::LoadArtifact(path);
         EXPECT_TRUE(back.ok()) << back.status();
       } else {
         std::remove(path.c_str());  // Start the next save from a clean slate.
-        EXPECT_EQ(ModelArtifact::LoadFromFile(path).status().code(),
+        EXPECT_EQ(store::LoadArtifact(path).status().code(),
                   StatusCode::kNotFound)
             << "a failed save must never leave a readable destination";
       }

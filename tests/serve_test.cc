@@ -1,7 +1,7 @@
-// Tests for the qdb::serve subsystem: artifact (de)serialization incl.
-// corruption and version-mismatch paths, the model registry, servable
-// correctness against the training-side implementations, micro-batching,
-// admission control, deadlines, graceful drain, and the result cache.
+// Tests for the qdb::serve subsystem: artifact files, the model registry,
+// servable correctness against the training-side implementations,
+// micro-batching, admission control, deadlines, graceful drain, and the
+// result cache.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "classical/dataset.h"
 #include "classical/svm.h"
 #include "common/rng.h"
-#include "common/hash.h"
 #include "common/strings.h"
 #include "fault/fault_injector.h"
 #include "kernel/quantum_kernel.h"
@@ -29,6 +28,7 @@
 #include "serve/servable.h"
 #include "sim/compiled_circuit.h"
 #include "sim/statevector_simulator.h"
+#include "store/binary_format.h"
 #include "variational/ansatz.h"
 #include "variational/vqc.h"
 #include "variational/vqr.h"
@@ -62,126 +62,20 @@ std::string TempPath(const std::string& file) {
   return testing::TempDir() + "/" + file;
 }
 
-// ---- Artifact serialization -------------------------------------------------
-
-TEST(ModelArtifactTest, VqcRoundTripIsExact) {
-  ModelArtifact a = TinyVqcArtifact("roundtrip");
-  a.version = 7;
-  a.params[0] = M_PI / 3.0;  // Exercise a non-terminating decimal.
-  a.circuit_fingerprint = ArtifactCircuitFingerprint(a);
-  auto b = ModelArtifact::Deserialize(a.Serialize());
-  ASSERT_TRUE(b.ok()) << b.status();
-  EXPECT_EQ(b.value().type, a.type);
-  EXPECT_EQ(b.value().name, a.name);
-  EXPECT_EQ(b.value().version, 7);
-  EXPECT_EQ(b.value().num_features, a.num_features);
-  EXPECT_EQ(b.value().encoding, a.encoding);
-  EXPECT_EQ(b.value().ansatz_layers, a.ansatz_layers);
-  EXPECT_EQ(b.value().entanglement, a.entanglement);
-  EXPECT_EQ(b.value().feature_scale, a.feature_scale);
-  EXPECT_EQ(b.value().circuit_fingerprint, a.circuit_fingerprint);
-  ASSERT_EQ(b.value().params.size(), a.params.size());
-  for (size_t i = 0; i < a.params.size(); ++i) {
-    // %.17g round-trips doubles bit-exactly.
-    EXPECT_EQ(b.value().params[i], a.params[i]) << i;
-  }
-}
-
-TEST(ModelArtifactTest, KernelSvmRoundTripIsExact) {
-  ModelArtifact a;
-  a.type = ModelType::kKernelSvm;
-  a.name = "svm with spaces in name";
-  a.num_features = 2;
-  a.kernel_encoding = KernelEncodingKind::kZZFeatureMap;
-  a.kernel_scale = 1.5;
-  a.kernel_reps = 3;
-  a.bias = -0.125;
-  a.support_vectors.push_back({0.5, {0.1, 0.2}});
-  a.support_vectors.push_back({-1.0 / 3.0, {M_PI, 2.0}});
-  auto b = ModelArtifact::Deserialize(a.Serialize());
-  ASSERT_TRUE(b.ok()) << b.status();
-  EXPECT_EQ(b.value().name, a.name);
-  EXPECT_EQ(b.value().kernel_encoding, a.kernel_encoding);
-  EXPECT_EQ(b.value().kernel_reps, 3);
-  EXPECT_EQ(b.value().bias, a.bias);
-  ASSERT_EQ(b.value().support_vectors.size(), 2u);
-  EXPECT_EQ(b.value().support_vectors[1].coeff, -1.0 / 3.0);
-  EXPECT_EQ(b.value().support_vectors[1].features[0], M_PI);
-}
-
-TEST(ModelArtifactTest, QuboConfigRoundTrip) {
-  ModelArtifact a = MakeQuboConfigArtifact(
-      {{"solver", "parallel_tempering"}, {"sweeps", "2000"}, {"seed", "17"}},
-      "join-order-solver");
-  auto b = ModelArtifact::Deserialize(a.Serialize());
-  ASSERT_TRUE(b.ok()) << b.status();
-  EXPECT_EQ(b.value().type, ModelType::kQuboConfig);
-  ASSERT_EQ(b.value().config.size(), 3u);
-  EXPECT_EQ(b.value().config[0].first, "solver");
-  EXPECT_EQ(b.value().config[0].second, "parallel_tempering");
-  EXPECT_EQ(b.value().config[2].second, "17");
-}
+// ---- Artifact files ----------------------------------------------------------
 
 TEST(ModelArtifactTest, FileRoundTrip) {
   ModelArtifact a = TinyVqcArtifact("file-model");
   const std::string path = TempPath("qdb_serve_file_roundtrip.model");
-  ASSERT_TRUE(a.SaveToFile(path).ok());
-  auto b = ModelArtifact::LoadFromFile(path);
+  ASSERT_TRUE(store::SaveArtifact(a, path).ok());
+  auto b = store::LoadArtifact(path);
   ASSERT_TRUE(b.ok()) << b.status();
   EXPECT_EQ(b.value().name, "file-model");
   EXPECT_EQ(b.value().params, a.params);
 }
 
-TEST(ModelArtifactTest, CorruptedFileIsRejected) {
-  ModelArtifact a = TinyVqcArtifact("corrupt-me");
-  std::string text = a.Serialize();
-  // Flip the layer count: the checksum must catch the edit.
-  const size_t pos = text.find("ansatz_layers 1");
-  ASSERT_NE(pos, std::string::npos);
-  text[pos + 14] = '2';
-  auto b = ModelArtifact::Deserialize(text);
-  ASSERT_FALSE(b.ok());
-  EXPECT_EQ(b.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(b.status().message().find("checksum"), std::string::npos)
-      << b.status();
-}
-
-TEST(ModelArtifactTest, TruncatedFileIsRejected) {
-  ModelArtifact a = TinyVqcArtifact("truncate-me");
-  std::string text = a.Serialize();
-  auto b = ModelArtifact::Deserialize(text.substr(0, text.size() / 2));
-  ASSERT_FALSE(b.ok());
-  EXPECT_EQ(b.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ModelArtifactTest, BadMagicIsRejected) {
-  std::string body = "not-a-model format 1\nend\n";
-  std::string text = body + "checksum " +
-                     StrFormat("%016llx", static_cast<unsigned long long>(
-                                              Fnv1a64(body))) +
-                     "\n";
-  auto b = ModelArtifact::Deserialize(text);
-  ASSERT_FALSE(b.ok());
-  EXPECT_EQ(b.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(b.status().message().find("magic"), std::string::npos);
-}
-
-TEST(ModelArtifactTest, FutureFormatVersionIsRejected) {
-  // A structurally valid file from "format 99": checksum passes, the
-  // version gate must reject it.
-  std::string body = "qdb-model-artifact format 99\ntype vqc\nend\n";
-  std::string text = body + "checksum " +
-                     StrFormat("%016llx", static_cast<unsigned long long>(
-                                              Fnv1a64(body))) +
-                     "\n";
-  auto b = ModelArtifact::Deserialize(text);
-  ASSERT_FALSE(b.ok());
-  EXPECT_EQ(b.status().code(), StatusCode::kUnimplemented);
-  EXPECT_NE(b.status().message().find("format"), std::string::npos);
-}
-
 TEST(ModelArtifactTest, MissingFileIsNotFound) {
-  auto b = ModelArtifact::LoadFromFile(TempPath("does_not_exist.model"));
+  auto b = store::LoadArtifact(TempPath("does_not_exist.model"));
   ASSERT_FALSE(b.ok());
   EXPECT_EQ(b.status().code(), StatusCode::kNotFound);
 }
