@@ -178,7 +178,11 @@ Status ParseParamsSection(const std::string& s, ModelArtifact& a) {
     return Corrupted("params section size does not match its count");
   }
   a.params.resize(static_cast<size_t>(count));
-  std::memcpy(a.params.data(), s.data() + 8, count * sizeof(double));
+  // An empty vector's data() may be null, and memcpy needs valid pointers
+  // even for zero bytes.
+  if (count > 0) {
+    std::memcpy(a.params.data(), s.data() + 8, count * sizeof(double));
+  }
   return Status::OK();
 }
 
@@ -215,8 +219,10 @@ Status ParseSupportVectorSection(const std::string& s, ModelArtifact& a) {
     auto& sv = a.support_vectors[static_cast<size_t>(i)];
     std::memcpy(&sv.coeff, coeffs + i * sizeof(double), sizeof(double));
     sv.features.resize(static_cast<size_t>(d));
-    std::memcpy(sv.features.data(), features + i * d * sizeof(double),
-                d * sizeof(double));
+    if (d > 0) {  // data() may be null when d == 0 (see ParseParamsSection).
+      std::memcpy(sv.features.data(), features + i * d * sizeof(double),
+                  d * sizeof(double));
+    }
   }
   return Status::OK();
 }
