@@ -62,7 +62,7 @@ std::string TempPath(const std::string& file) {
   return testing::TempDir() + "/" + file;
 }
 
-// ---- Artifact files ----------------------------------------------------------
+// ---- Artifact files ---------------------------------------------------------
 
 TEST(ModelArtifactTest, FileRoundTrip) {
   ModelArtifact a = TinyVqcArtifact("file-model");
