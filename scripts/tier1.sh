@@ -1,17 +1,16 @@
 #!/usr/bin/env bash
-# Tier-1 gate: configure + build + full test suite, then rebuild the
+# Tier-1 gate: check that no library header is reached only by tests,
+# configure + build + full test suite, then rebuild the
 # concurrency-sensitive tests under ThreadSanitizer and run them, run the
-# storage, Walsh-sweep, SIMD, pool, kernel, serving, per-gate lowering and
-# adjoint suites under UndefinedBehaviorSanitizer, run the whole suite
-# under AddressSanitizer, replay the seeded chaos profiles, run the kill-9
+# whole suite under UndefinedBehaviorSanitizer and under
+# AddressSanitizer, replay the seeded chaos profiles, run the kill-9
 # crash-recovery matrix, gate the serving tier's observability overhead,
 # and print the tracked src/ line count. Run from the repo root:
 #
 #   ./scripts/tier1.sh
 #
 # Build directories: build/ (regular), build-tsan/ (TSan, library + tests
-# only), build-ubsan/ (UBSan, storage, Walsh-sweep, SIMD, pool, kernel,
-# serving, per-gate lowering and adjoint tests only), build-asan/ (ASan,
+# only), build-ubsan/ (UBSan, library + tests only), build-asan/ (ASan,
 # library + tests only). All are incremental across invocations.
 #
 # On a ctest failure, every test binary leaves a full metrics-registry dump
@@ -20,6 +19,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== tier 1: no test-only library headers =="
+./scripts/check_test_only_headers.sh
+
+echo
 echo "== tier 1: build + ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j
@@ -61,39 +64,21 @@ QDB_THREADS=4 ./build-tsan/tests/store_test
 QDB_THREADS=4 ./build-tsan/tests/journal_test
 
 echo
-echo "== tier 1: storage, Walsh sweeps, SIMD, pool, kernels and serving under UndefinedBehaviorSanitizer =="
-# The journal parses raw bytes off disk (replay of possibly-torn records);
-# UBSan over the storage suites catches misaligned loads, overflow in
-# offset arithmetic, and enum smuggling that a crash harness would only hit
-# probabilistically. The Walsh sweeps (batched Pauli-sum expectations,
-# diagonal runs, Ising diagonals) index tables by shifted masks, and the
-# vector sin/cos, product-state and tiled-replay paths shift quadrant bits
-# and tile indices, so their suites and the pool's retraction run here too.
-# The fidelity kernels index per-qubit factor pairs and dense overlaps, and
-# the serving suite drives them through kernel-SVM servables. Every gate
-# lowers to a CompiledOp through one ladder; the per-gate dense-oracle
-# suite and the adjoint rewind (one streamed gate at a time) drive it.
+echo "== tier 1: whole suite under UndefinedBehaviorSanitizer =="
+# Misaligned loads, shift and offset overflow, and enum smuggling in any
+# suite: the journal and artifact parsers read raw bytes off disk, and
+# the kernels and Walsh sweeps index tables by shifted masks. The SIMD
+# and parallel-kernel suites rerun at four lanes so the chunked paths run
+# too.
 cmake -B build-ubsan -S . \
   -DQDB_SANITIZE=undefined \
   -DQDB_BUILD_BENCHMARKS=OFF \
   -DQDB_BUILD_EXAMPLES=OFF >/dev/null
-cmake --build build-ubsan -j --target store_test --target journal_test \
-  --target pauli_test --target qaoa_test --target compiled_circuit_test \
-  --target simd_equivalence_test --target sim_parallel_test \
-  --target thread_pool_test --target kernel_test --target serve_test \
-  --target sim_equivalence_test --target adjoint_test
-UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/store_test
-UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/journal_test
-UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/pauli_test
-UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/qaoa_test
-UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/compiled_circuit_test
+cmake --build build-ubsan -j
+(cd build-ubsan &&
+  UBSAN_OPTIONS=halt_on_error=1 ctest --output-on-failure -j "$(nproc)")
 UBSAN_OPTIONS=halt_on_error=1 QDB_THREADS=4 ./build-ubsan/tests/simd_equivalence_test
 UBSAN_OPTIONS=halt_on_error=1 QDB_THREADS=4 ./build-ubsan/tests/sim_parallel_test
-UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/thread_pool_test
-UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/kernel_test
-UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/serve_test
-UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/sim_equivalence_test
-UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/adjoint_test
 
 echo
 echo "== tier 1: whole suite under AddressSanitizer =="

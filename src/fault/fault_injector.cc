@@ -49,8 +49,8 @@ obs::Counter* FiredCounter(FaultKind kind) {
 /// Fault points compiled into this binary. Call sites declare points as
 /// string literals, so this list is maintained alongside them (fault_test
 /// pins the names that matter to chaos profiles).
-std::set<std::string>& KnownPoints() {
-  static std::set<std::string>* points = new std::set<std::string>{
+const std::set<std::string>& KnownPoints() {
+  static const std::set<std::string>* points = new std::set<std::string>{
       "artifact.load",          // model_registry.cc LoadModel retry loop
       "artifact.save",          // binary_format.cc AtomicWriteFile
       "serve.dispatch",         // inference_server.cc batch execution
@@ -65,11 +65,6 @@ std::set<std::string>& KnownPoints() {
       "store.read",             // binary_format.cc ReadFileBytes
   };
   return *points;
-}
-
-std::mutex& KnownPointsMu() {
-  static std::mutex* mu = new std::mutex();
-  return *mu;
 }
 
 std::vector<std::string> SplitOn(const std::string& text, char sep) {
@@ -136,13 +131,7 @@ void KillProcess() {
 }
 
 bool IsKnownFaultPoint(const std::string& point) {
-  std::lock_guard<std::mutex> lock(KnownPointsMu());
   return KnownPoints().count(point) > 0;
-}
-
-void RegisterFaultPoint(const std::string& point) {
-  std::lock_guard<std::mutex> lock(KnownPointsMu());
-  KnownPoints().insert(point);
 }
 
 FaultInjector& FaultInjector::Global() {
@@ -166,15 +155,6 @@ void FaultInjector::Arm(const std::string& point, const FaultSpec& spec) {
   armed_points_.store(static_cast<int>(points_.size()),
                       std::memory_order_relaxed);
   Metrics().points_armed->Set(static_cast<double>(points_.size()));
-}
-
-bool FaultInjector::Disarm(const std::string& point) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const bool erased = points_.erase(point) > 0;
-  armed_points_.store(static_cast<int>(points_.size()),
-                      std::memory_order_relaxed);
-  Metrics().points_armed->Set(static_cast<double>(points_.size()));
-  return erased;
 }
 
 void FaultInjector::DisarmAll() {

@@ -72,10 +72,6 @@ Result<FaultKind> ParseFaultKind(const std::string& name);
 /// authoritative list ArmFromEnv validates spec names against.
 bool IsKnownFaultPoint(const std::string& point);
 
-/// Adds `point` to the known-point registry (for out-of-tree call sites
-/// that declare their own points). Idempotent.
-void RegisterFaultPoint(const std::string& point);
-
 /// \brief One armed fault: what to inject, how often, and where.
 struct FaultSpec {
   FaultKind kind = FaultKind::kError;
@@ -95,7 +91,7 @@ struct FaultSpec {
 
 /// \brief Process-wide fault-point registry (singleton).
 ///
-/// Thread-safe: Arm/Disarm/Sample take an internal lock; enabled() is a
+/// Thread-safe: Arm/DisarmAll/Sample take an internal lock; enabled() is a
 /// relaxed load so disarmed hot paths never contend.
 class FaultInjector {
  public:
@@ -103,8 +99,6 @@ class FaultInjector {
 
   /// Arms (or re-arms, resetting the Rng stream and tallies) one point.
   void Arm(const std::string& point, const FaultSpec& spec);
-  /// Disarms one point; returns false when it was not armed.
-  bool Disarm(const std::string& point);
   void DisarmAll();
 
   /// Parses and arms a spec-string list (see file comment for the grammar).

@@ -28,7 +28,7 @@ struct OptimizeResult {
   /// Objective value after each iteration (for convergence plots).
   DVector history;
   /// ‖∇f‖₂ per iteration, for gradient-based optimizers (empty for the
-  /// derivative-free ones; SPSA records its stochastic two-point estimate).
+  /// derivative-free ones).
   DVector gradient_norm_history;
 };
 

@@ -111,15 +111,6 @@ void NormsRangeScalar(const double* re, const double* im, uint64_t b,
   }
 }
 
-double NormSqRangeScalar(const double* re, const double* im, uint64_t b,
-                         uint64_t e) {
-  double lanes[4] = {0.0, 0.0, 0.0, 0.0};
-  for (uint64_t i = b; i < e; ++i) {
-    lanes[(i - b) & 3] += re[i] * re[i] + im[i] * im[i];
-  }
-  return CombineLanes(lanes);
-}
-
 double MaskedNormSqRangeScalar(const double* re, const double* im, uint64_t b,
                                uint64_t e, uint64_t mask) {
   double lanes[4] = {0.0, 0.0, 0.0, 0.0};
@@ -271,12 +262,6 @@ void NormsRange(SimdLevel level, const double* re, const double* im, uint64_t b,
   } else {
     NormsRangeScalar(re, im, b, e, out);
   }
-}
-
-double NormSqRange(SimdLevel level, const double* re, const double* im,
-                   uint64_t b, uint64_t e) {
-  if (level == SimdLevel::kAvx2) return NormSqRangeAvx2(re, im, b, e);
-  return NormSqRangeScalar(re, im, b, e);
 }
 
 double MaskedNormSqRange(SimdLevel level, const double* re, const double* im,

@@ -146,10 +146,6 @@ void SinCosRange(SimdLevel level, const double* x, double* sn, double* cs,
 void NormsRange(SimdLevel level, const double* re, const double* im, uint64_t b,
                 uint64_t e, double* out);
 
-/// Σ_{i in [b,e)} re[i]^2 + im[i]^2, 4-lane accumulation protocol.
-double NormSqRange(SimdLevel level, const double* re, const double* im,
-                   uint64_t b, uint64_t e);
-
 /// Σ over i in [b,e) with (i & mask) == mask of re[i]^2 + im[i]^2,
 /// 4-lane accumulation protocol (masked-out elements contribute +0.0).
 double MaskedNormSqRange(SimdLevel level, const double* re, const double* im,
@@ -183,8 +179,6 @@ void Apply2QRangeScalar(double* re, double* im, uint64_t gb, uint64_t ge,
                         const double (*mi)[4]);
 void NormsRangeScalar(const double* re, const double* im, uint64_t b,
                       uint64_t e, double* out);
-double NormSqRangeScalar(const double* re, const double* im, uint64_t b,
-                         uint64_t e);
 double MaskedNormSqRangeScalar(const double* re, const double* im, uint64_t b,
                                uint64_t e, uint64_t mask);
 double CollapseRangeScalar(double* re, double* im, uint64_t b, uint64_t e,
@@ -213,8 +207,6 @@ void Apply2QRangeAvx2(double* re, double* im, uint64_t gb, uint64_t ge,
                       const double (*mi)[4]);
 void NormsRangeAvx2(const double* re, const double* im, uint64_t b, uint64_t e,
                     double* out);
-double NormSqRangeAvx2(const double* re, const double* im, uint64_t b,
-                       uint64_t e);
 double MaskedNormSqRangeAvx2(const double* re, const double* im, uint64_t b,
                              uint64_t e, uint64_t mask);
 double CollapseRangeAvx2(double* re, double* im, uint64_t b, uint64_t e,

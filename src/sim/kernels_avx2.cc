@@ -270,22 +270,6 @@ QDB_AVX2 void NormsRangeAvx2(const double* re, const double* im, uint64_t b,
   for (; i < e; ++i) out[i] = re[i] * re[i] + im[i] * im[i];
 }
 
-QDB_AVX2 double NormSqRangeAvx2(const double* re, const double* im, uint64_t b,
-                                uint64_t e) {
-  __m256d acc = _mm256_setzero_pd();
-  uint64_t i = b;
-  for (; i + 4 <= e; i += 4) {
-    const __m256d ar = _mm256_loadu_pd(re + i);
-    const __m256d ai = _mm256_loadu_pd(im + i);
-    acc = _mm256_add_pd(acc,
-                        _mm256_add_pd(_mm256_mul_pd(ar, ar),
-                                      _mm256_mul_pd(ai, ai)));
-  }
-  double tail[4] = {0.0, 0.0, 0.0, 0.0};
-  for (; i < e; ++i) tail[(i - b) & 3] += re[i] * re[i] + im[i] * im[i];
-  return ReduceLanes(acc, tail);
-}
-
 QDB_AVX2 double MaskedNormSqRangeAvx2(const double* re, const double* im,
                                       uint64_t b, uint64_t e, uint64_t mask) {
   const __m256i vmask = _mm256_set1_epi64x(static_cast<long long>(mask));
@@ -533,10 +517,6 @@ void Apply2QRangeAvx2(double* re, double* im, uint64_t gb, uint64_t ge,
 void NormsRangeAvx2(const double* re, const double* im, uint64_t b, uint64_t e,
                     double* out) {
   NormsRangeScalar(re, im, b, e, out);
-}
-double NormSqRangeAvx2(const double* re, const double* im, uint64_t b,
-                       uint64_t e) {
-  return NormSqRangeScalar(re, im, b, e);
 }
 double MaskedNormSqRangeAvx2(const double* re, const double* im, uint64_t b,
                              uint64_t e, uint64_t mask) {

@@ -61,12 +61,6 @@ struct NoiseModel {
   /// Probability that a measured bit is reported flipped.
   double readout_flip_probability = 0.0;
 
-  /// True when no channel nor readout error is configured.
-  bool IsNoiseless() const {
-    return after_1q.empty() && after_2q.empty() &&
-           readout_flip_probability == 0.0;
-  }
-
   /// Standard NISQ preset: depolarizing p1 after 1q gates, p2 after 2q
   /// gates, readout flip r.
   static Result<NoiseModel> Depolarizing(double p1, double p2, double r = 0.0);

@@ -153,18 +153,6 @@ Status PosixError(const char* what, const std::string& path) {
 
 }  // namespace
 
-const char* JournalEventName(JournalEvent event) {
-  switch (event) {
-    case JournalEvent::kRegister: return "register";
-    case JournalEvent::kPromote: return "promote";
-    case JournalEvent::kEvictToDisk: return "evict_to_disk";
-    case JournalEvent::kPin: return "pin";
-    case JournalEvent::kUnpin: return "unpin";
-    case JournalEvent::kRemove: return "remove";
-  }
-  return "unknown";
-}
-
 RegistryJournal::RegistryJournal(std::string dir,
                                  const JournalOptions& options)
     : dir_(std::move(dir)),

@@ -79,8 +79,6 @@ enum class JournalEvent : uint32_t {
   kRemove = 6,
 };
 
-const char* JournalEventName(JournalEvent event);
-
 /// \brief One journal record. Callers fill everything but `sequence`,
 /// which Append assigns monotonically.
 struct JournalRecord {

@@ -5,8 +5,8 @@
 #include <cmath>
 
 #include "circuit/circuit.h"
+#include "circuit_unitary.h"
 #include "common/rng.h"
-#include "sim/unitary_simulator.h"
 
 namespace qdb {
 namespace {

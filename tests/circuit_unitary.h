@@ -1,11 +1,25 @@
-#include "sim/unitary_simulator.h"
+// Dense reference oracle shared by the circuit, simulator, encoding and
+// algorithm tests: the full 2^n x 2^n unitary of a small circuit.
 
+#ifndef QDB_TESTS_CIRCUIT_UNITARY_H_
+#define QDB_TESTS_CIRCUIT_UNITARY_H_
+
+#include "circuit/circuit.h"
+#include "common/result.h"
 #include "common/strings.h"
+#include "linalg/matrix.h"
 #include "sim/statevector_simulator.h"
 
 namespace qdb {
 
-Result<Matrix> CircuitUnitary(const Circuit& circuit, const DVector& params) {
+/// \brief Builds the 2^n x 2^n unitary of a circuit by streaming each
+/// computational basis state through it gate by gate (no fusion), so it can
+/// serve as an oracle for fused, compiled replay.
+///
+/// \param circuit the circuit (n ≤ 12 enforced: 16M complex entries).
+/// \param params bound values for symbolic parameters.
+inline Result<Matrix> CircuitUnitary(const Circuit& circuit,
+                                     const DVector& params = {}) {
   if (circuit.num_qubits() > 12) {
     return Status::InvalidArgument(
         StrCat("CircuitUnitary limited to 12 qubits, got ",
@@ -29,3 +43,5 @@ Result<Matrix> CircuitUnitary(const Circuit& circuit, const DVector& params) {
 }
 
 }  // namespace qdb
+
+#endif  // QDB_TESTS_CIRCUIT_UNITARY_H_

@@ -1,11 +1,10 @@
-// Tests for datasets, metrics, logistic regression, and kNN.
+// Tests for datasets, metrics and logistic regression.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "classical/dataset.h"
-#include "classical/knn.h"
 #include "classical/logistic.h"
 #include "classical/metrics.h"
 
@@ -124,45 +123,6 @@ TEST(LogisticTest, ProbabilitiesAreCalibratedDirectionally) {
 
 TEST(LogisticTest, RejectsEmptyData) {
   EXPECT_FALSE(LogisticRegression::Train(Dataset{}).ok());
-}
-
-TEST(KnnTest, MajorityVoteOnBlobs) {
-  Rng rng(13);
-  Dataset d = MakeBlobs(50, 2, 3.0, 0.5, rng);
-  auto knn = KnnClassifier::Create(d, 5);
-  ASSERT_TRUE(knn.ok());
-  auto pred_pos = knn.value().Predict({1.5, 1.5});
-  auto pred_neg = knn.value().Predict({-1.5, -1.5});
-  ASSERT_TRUE(pred_pos.ok());
-  ASSERT_TRUE(pred_neg.ok());
-  EXPECT_EQ(pred_pos.value(), 1);
-  EXPECT_EQ(pred_neg.value(), -1);
-}
-
-TEST(KnnTest, KOneMemorizesTrainingSet) {
-  Rng rng(15);
-  Dataset d = MakeMoons(30, 0.05, rng);
-  auto knn = KnnClassifier::Create(d, 1);
-  ASSERT_TRUE(knn.ok());
-  for (size_t i = 0; i < d.size(); ++i) {
-    auto p = knn.value().Predict(d.features[i]);
-    ASSERT_TRUE(p.ok());
-    EXPECT_EQ(p.value(), d.labels[i]);
-  }
-}
-
-TEST(KnnTest, Validation) {
-  EXPECT_FALSE(KnnClassifier::Create(Dataset{}, 1).ok());
-  Rng rng(17);
-  Dataset d = MakeBlobs(10, 2, 2.0, 0.5, rng);
-  EXPECT_FALSE(KnnClassifier::Create(d, 0).ok());
-  EXPECT_FALSE(KnnClassifier::Create(d, 11).ok());
-  Dataset bad = d;
-  bad.labels[0] = 0;
-  EXPECT_FALSE(KnnClassifier::Create(bad, 3).ok());
-  auto knn = KnnClassifier::Create(d, 3);
-  ASSERT_TRUE(knn.ok());
-  EXPECT_FALSE(knn.value().Predict({1.0}).ok());  // Dimension mismatch.
 }
 
 }  // namespace

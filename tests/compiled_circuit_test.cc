@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "circuit/circuit.h"
+#include "circuit_unitary.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "db/join_order_qubo.h"
@@ -23,7 +24,6 @@
 #include "sim/simd.h"
 #include "sim/state_vector.h"
 #include "sim/statevector_simulator.h"
-#include "sim/unitary_simulator.h"
 #include "variational/qaoa.h"
 
 namespace qdb {

@@ -4,11 +4,11 @@
 
 #include <cmath>
 
+#include "circuit_unitary.h"
 #include "common/rng.h"
 #include "encoding/encodings.h"
 #include "linalg/vector_ops.h"
 #include "sim/statevector_simulator.h"
-#include "sim/unitary_simulator.h"
 
 namespace qdb {
 namespace {

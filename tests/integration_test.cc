@@ -13,10 +13,8 @@
 #include "db/join_order_greedy.h"
 #include "db/join_order_qubo.h"
 #include "kernel/quantum_kernel.h"
-#include "mitigation/readout.h"
 #include "mitigation/zne.h"
 #include "ops/graph_hamiltonians.h"
-#include "sim/shot_estimator.h"
 #include "sim/statevector_simulator.h"
 #include "variational/qaoa.h"
 #include "variational/vqc.h"
@@ -155,15 +153,13 @@ TEST(IntegrationTest, SqaMatchesSaOnMaxCutQuality) {
   EXPECT_NEAR(sa.value().best_energy, sqa.value().best_energy, 1e-9);
 }
 
-TEST(IntegrationTest, MitigatedNoisyReadoutPipeline) {
-  // Full NISQ pipeline: noisy gates (ZNE) + noisy readout (confusion
-  // inversion), each mitigation attacking its own error source.
+TEST(IntegrationTest, ZneMitigatedNoisyBellPipeline) {
+  // Noisy gates on a Bell pair, mitigated by zero-noise extrapolation.
   Circuit bell(2);
   bell.H(0).CX(0, 1);
   PauliSum zz(2);
   zz.Add(1.0, "ZZ");
 
-  // Gate noise → ZNE.
   auto noise = NoiseModel::Depolarizing(0.005, 0.01);
   ASSERT_TRUE(noise.ok());
   DensitySimulator noisy_sim(noise.value());
@@ -171,47 +167,6 @@ TEST(IntegrationTest, MitigatedNoisyReadoutPipeline) {
   ASSERT_TRUE(zne.ok());
   EXPECT_LT(std::abs(zne.value().mitigated - 1.0),
             std::abs(zne.value().unmitigated - 1.0));
-
-  // Readout noise → confusion inversion on sampled counts.
-  auto rho = noisy_sim.Run(bell);
-  ASSERT_TRUE(rho.ok());
-  Rng rng(3);
-  auto counts = rho.value().SampleCounts(rng, 20000, /*readout_flip=*/0.08);
-  auto mitigator = ReadoutMitigator::Create(2, 0.08, 0.08);
-  ASSERT_TRUE(mitigator.ok());
-  auto z0_raw = [&] {
-    long acc = 0, total = 0;
-    for (const auto& [outcome, count] : counts) {
-      acc += (outcome & 0b10) ? -count : count;
-      total += count;
-    }
-    return static_cast<double>(acc) / total;
-  }();
-  auto z0_mitigated = mitigator.value().MitigatedExpectationZ(counts, 0);
-  ASSERT_TRUE(z0_mitigated.ok());
-  // Bell state: ⟨Z0⟩ = 0; both estimates should be near 0, the mitigated
-  // one at least as close despite the flips.
-  EXPECT_LT(std::abs(z0_mitigated.value()), std::abs(z0_raw) + 0.02);
-}
-
-TEST(IntegrationTest, ShotEstimatedQaoaEnergyTracksExact) {
-  // Hardware-realistic readout of a QAOA energy: grouped shot estimation
-  // against the exact expectation.
-  WeightedGraph ring = RingGraph(4);
-  IsingModel ising = MaxCutIsing(ring);
-  Qaoa qaoa(ising, 1);
-  const DVector params = {0.4, 0.7};
-  StateVectorSimulator sim;
-  auto state = sim.Run(qaoa.circuit(), params);
-  ASSERT_TRUE(state.ok());
-  PauliSum cost = ising.ToPauliSum();
-  const double exact = Expectation(state.value(), cost);
-  Rng rng(7);
-  auto sampled =
-      EstimateExpectationGrouped(state.value(), cost, 20000, rng);
-  ASSERT_TRUE(sampled.ok());
-  EXPECT_NEAR(sampled.value().value, exact,
-              5.0 * sampled.value().standard_error + 0.05);
 }
 
 TEST(IntegrationTest, GreedyVsDpVsAnnealerOrdering) {

@@ -1,14 +1,12 @@
-// Tests for error mitigation: zero-noise extrapolation and readout
-// confusion inversion.
+// Tests for error mitigation: circuit folding, Richardson extrapolation
+// and zero-noise extrapolation.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "mitigation/readout.h"
+#include "circuit_unitary.h"
 #include "mitigation/zne.h"
-#include "sim/statevector_simulator.h"
-#include "sim/unitary_simulator.h"
 
 namespace qdb {
 namespace {
@@ -112,77 +110,6 @@ TEST(ZneTest, Validation) {
   ZneOptions even;
   even.scale_factors = {1, 2};
   EXPECT_FALSE(ZeroNoiseExtrapolate(c, z, sim, even).ok());
-}
-
-TEST(ReadoutTest, Validation) {
-  EXPECT_FALSE(ReadoutMitigator::Create(0, 0.1, 0.1).ok());
-  EXPECT_FALSE(ReadoutMitigator::Create(2, 0.6, 0.5).ok());
-  EXPECT_FALSE(ReadoutMitigator::Create(2, -0.1, 0.1).ok());
-  EXPECT_TRUE(ReadoutMitigator::Create(2, 0.05, 0.1).ok());
-}
-
-TEST(ReadoutTest, InvertsKnownConfusionExactly) {
-  // Feed the *expected* corrupted distribution of |0⟩ through the
-  // mitigator: it must return the clean one.
-  const double p01 = 0.1, p10 = 0.05;
-  auto mitigator = ReadoutMitigator::Create(1, p01, p10);
-  ASSERT_TRUE(mitigator.ok());
-  // True state |0⟩ → measured 0 with 1−p01, measured 1 with p01.
-  std::map<uint64_t, int> counts = {{0, 9000}, {1, 1000}};  // p01 = 0.1.
-  auto probs = mitigator.value().MitigateCounts(counts);
-  ASSERT_TRUE(probs.ok());
-  EXPECT_NEAR(probs.value()[0], 1.0, 1e-9);
-  EXPECT_NEAR(probs.value()[1], 0.0, 1e-9);
-}
-
-TEST(ReadoutTest, RestoresSampledNoisyDistribution) {
-  // End-to-end: Bell state sampled with a 10% symmetric readout flip; the
-  // mitigated ⟨Z₀Z₁⟩-ish marginals get close to ideal.
-  Circuit bell(2);
-  bell.H(0).CX(0, 1);
-  StateVectorSimulator sim;
-  StateVector psi = sim.Run(bell).ValueOrDie();
-  Rng rng(7);
-  const double flip = 0.1;
-  std::map<uint64_t, int> noisy_counts;
-  for (int s = 0; s < 40000; ++s) {
-    uint64_t outcome = psi.SampleOnce(rng);
-    for (int q = 0; q < 2; ++q) {
-      if (rng.Bernoulli(flip)) outcome ^= uint64_t{1} << (1 - q);
-    }
-    ++noisy_counts[outcome];
-  }
-  auto mitigator = ReadoutMitigator::Create(2, flip, flip);
-  ASSERT_TRUE(mitigator.ok());
-  auto probs = mitigator.value().MitigateCounts(noisy_counts);
-  ASSERT_TRUE(probs.ok());
-  EXPECT_NEAR(probs.value()[0b00], 0.5, 0.02);
-  EXPECT_NEAR(probs.value()[0b11], 0.5, 0.02);
-  EXPECT_NEAR(probs.value()[0b01], 0.0, 0.02);
-  // Unmitigated, P(01) would sit near flip·(1−flip)·... ≈ 0.09.
-  double raw01 = noisy_counts[0b01] / 40000.0;
-  EXPECT_GT(raw01, 0.05);
-}
-
-TEST(ReadoutTest, MitigatedExpectationZ) {
-  auto mitigator = ReadoutMitigator::Create(1, 0.2, 0.2);
-  ASSERT_TRUE(mitigator.ok());
-  // True |0⟩ read through 20% symmetric flips: P(read 1) = 0.2,
-  // raw ⟨Z⟩ = 0.6; mitigation restores 1.0.
-  std::map<uint64_t, int> counts = {{0, 8000}, {1, 2000}};
-  auto z = mitigator.value().MitigatedExpectationZ(counts, 0);
-  ASSERT_TRUE(z.ok());
-  EXPECT_NEAR(z.value(), 1.0, 1e-9);
-}
-
-TEST(ReadoutTest, CountValidation) {
-  auto mitigator = ReadoutMitigator::Create(2, 0.1, 0.1);
-  ASSERT_TRUE(mitigator.ok());
-  EXPECT_FALSE(mitigator.value().MitigateCounts({}).ok());
-  EXPECT_FALSE(mitigator.value().MitigateCounts({{9, 10}}).ok());
-  EXPECT_FALSE(mitigator.value().MitigateCounts({{0, -5}}).ok());
-  EXPECT_FALSE(
-      mitigator.value().MitigatedExpectationZ({{0, 10}}, 5).ok());
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "obs/scoped_timer.h"
 #include "obs/trace.h"
 
 namespace qdb {
@@ -286,14 +285,6 @@ TEST(RegistryTest, ExportsSurfaceHistogramOverflow) {
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   EXPECT_NE(json.find("\"obs_test.overflow_hist\":{"), std::string::npos);
   EXPECT_NE(json.find(",\"overflow\":2"), std::string::npos) << json;
-}
-
-TEST(HistogramTest, ScopedTimerObservesOnce) {
-  Histogram* h = GetHistogram("obs_test.scoped_timer_hist");
-  h->Reset();
-  { ScopedHistogramTimer timer(h); }
-  EXPECT_EQ(h->TotalCount(), 1);
-  EXPECT_GE(h->Sum(), 0.0);
 }
 
 TEST(RegistryTest, ExportsAreValidJsonAndListMetrics) {

@@ -5,9 +5,7 @@
 #include <cmath>
 
 #include "optimize/adam.h"
-#include "optimize/gradient_descent.h"
 #include "optimize/nelder_mead.h"
-#include "optimize/spsa.h"
 
 namespace qdb {
 namespace {
@@ -30,63 +28,11 @@ Result<DVector> QuadraticGrad(const DVector& x) {
   return g;
 }
 
-// Rosenbrock in 2D: hard for plain GD, good for Nelder-Mead/Adam.
+// Rosenbrock in 2D: a curved valley for Nelder-Mead and Adam.
 Result<double> Rosenbrock(const DVector& x) {
   const double a = 1.0 - x[0];
   const double b = x[1] - x[0] * x[0];
   return a * a + 100.0 * b * b;
-}
-
-TEST(GradientDescentTest, MinimizesQuadratic) {
-  GradientDescentOptions opts;
-  opts.learning_rate = 0.1;
-  opts.max_iterations = 500;
-  auto result =
-      MinimizeGradientDescent(Quadratic, QuadraticGrad, {5.0, -3.0, 8.0}, opts);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result.value().converged);
-  EXPECT_NEAR(result.value().value, 0.0, 1e-8);
-  EXPECT_NEAR(result.value().params[1], 1.0, 1e-4);
-}
-
-TEST(GradientDescentTest, MomentumAccelerates) {
-  GradientDescentOptions plain;
-  plain.learning_rate = 0.01;
-  plain.max_iterations = 100;
-  plain.gradient_tolerance = 1e-10;
-  GradientDescentOptions momentum = plain;
-  momentum.momentum = 0.9;
-  auto slow = MinimizeGradientDescent(Quadratic, QuadraticGrad, {10.0}, plain);
-  auto fast =
-      MinimizeGradientDescent(Quadratic, QuadraticGrad, {10.0}, momentum);
-  ASSERT_TRUE(slow.ok());
-  ASSERT_TRUE(fast.ok());
-  EXPECT_LT(fast.value().value, slow.value().value);
-}
-
-TEST(GradientDescentTest, ValidatesOptions) {
-  GradientDescentOptions bad_lr;
-  bad_lr.learning_rate = 0.0;
-  EXPECT_FALSE(
-      MinimizeGradientDescent(Quadratic, QuadraticGrad, {1.0}, bad_lr).ok());
-  GradientDescentOptions bad_momentum;
-  bad_momentum.momentum = 1.0;
-  EXPECT_FALSE(
-      MinimizeGradientDescent(Quadratic, QuadraticGrad, {1.0}, bad_momentum)
-          .ok());
-}
-
-TEST(GradientDescentTest, HistoryTracksDescent) {
-  GradientDescentOptions opts;
-  opts.learning_rate = 0.05;
-  opts.max_iterations = 50;
-  opts.gradient_tolerance = 0.0;
-  auto result =
-      MinimizeGradientDescent(Quadratic, QuadraticGrad, {4.0}, opts);
-  ASSERT_TRUE(result.ok());
-  const auto& h = result.value().history;
-  ASSERT_GE(h.size(), 2u);
-  EXPECT_LT(h.back(), h.front());
 }
 
 TEST(AdamTest, MinimizesQuadratic) {
@@ -152,44 +98,6 @@ TEST(NelderMeadTest, ConvergedFlagOnFlatObjective) {
   EXPECT_TRUE(result.value().converged);
 }
 
-TEST(SpsaTest, MinimizesQuadraticApproximately) {
-  SpsaOptions opts;
-  opts.max_iterations = 800;
-  opts.a = 0.4;
-  auto result = MinimizeSpsa(Quadratic, {4.0, -4.0}, opts);
-  ASSERT_TRUE(result.ok());
-  EXPECT_LT(result.value().value, 0.05);
-}
-
-TEST(SpsaTest, RobustToNoisyObjective) {
-  // SPSA's design point: stochastic objectives.
-  Rng noise(99);
-  Objective noisy = [&noise](const DVector& x) -> Result<double> {
-    return Quadratic(x).value() + noise.Normal(0.0, 0.01);
-  };
-  SpsaOptions opts;
-  opts.max_iterations = 600;
-  auto result = MinimizeSpsa(noisy, {3.0}, opts);
-  ASSERT_TRUE(result.ok());
-  EXPECT_LT(result.value().value, 0.2);
-}
-
-TEST(SpsaTest, DeterministicBySeed) {
-  SpsaOptions opts;
-  opts.max_iterations = 50;
-  auto a = MinimizeSpsa(Quadratic, {2.0, 2.0}, opts);
-  auto b = MinimizeSpsa(Quadratic, {2.0, 2.0}, opts);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a.value().params, b.value().params);
-}
-
-TEST(SpsaTest, ValidatesGains) {
-  SpsaOptions bad;
-  bad.c = 0.0;
-  EXPECT_FALSE(MinimizeSpsa(Quadratic, {1.0}, bad).ok());
-}
-
 TEST(OptimizerTest, ObjectiveErrorsPropagate) {
   Objective failing = [](const DVector&) -> Result<double> {
     return Status::Internal("boom");
@@ -197,11 +105,8 @@ TEST(OptimizerTest, ObjectiveErrorsPropagate) {
   GradientFn failing_grad = [](const DVector&) -> Result<DVector> {
     return Status::Internal("boom");
   };
-  EXPECT_FALSE(
-      MinimizeGradientDescent(failing, failing_grad, {1.0}, {}).ok());
   EXPECT_FALSE(MinimizeAdam(failing, failing_grad, {1.0}, {}).ok());
   EXPECT_FALSE(MinimizeNelderMead(failing, {1.0}, {}).ok());
-  EXPECT_FALSE(MinimizeSpsa(failing, {1.0}, {}).ok());
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 #include <cmath>
 
 #include "algo/phase_estimation.h"
+#include "circuit_unitary.h"
 #include "sim/statevector_simulator.h"
-#include "sim/unitary_simulator.h"
 
 namespace qdb {
 namespace {

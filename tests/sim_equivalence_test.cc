@@ -6,12 +6,12 @@
 
 #include <cmath>
 
+#include "circuit_unitary.h"
 #include "common/rng.h"
 #include "linalg/random_unitary.h"
 #include "ops/pauli.h"
 #include "sim/compiled_circuit.h"
 #include "sim/statevector_simulator.h"
-#include "sim/unitary_simulator.h"
 
 namespace qdb {
 namespace {
